@@ -4,11 +4,7 @@ Batch computations over parameter grids.
 ``run_sweep`` evaluates a model family over coupling/angle grids with one or
 more solver routes and collects the results into a flat, deterministically
 ordered table (sorted by separation, coupling, angle, solver tag).  Singular
-grid points become error records instead of aborting the sweep.  Grid points
-are independent pure evaluations, so they may be computed by a thread pool;
-the SCATTER_THREADS environment variable sets the worker count (absent or 1
-means serial).  Results are reassembled in grid order either way, so the
-table is identical no matter how it was scheduled.
+grid points become error records instead of aborting the sweep.
 
 ``cross_validate`` closes the oracle triangle for the delta-pair family:
 closed forms against both solvers where a closed form exists (separations
@@ -20,8 +16,6 @@ tridiagonal windows, where no closed form is available at all.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,14 +35,12 @@ from .core import (
     energy_from_phi,
 )
 from .errors import SingularSystem, SolverError
-from .solver import PHI_EDGE_GUARD, SolveReport, solve_matching, solve_transfer_matrix
+from .solver import PHI_EDGE_GUARD, solve_matching, solve_transfer_matrix
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
 SOLVER_CLOSED_FORM = "closed-form"
 ALL_SOLVERS = (SOLVER_CLOSED_FORM, SOLVER_MATCHING, SOLVER_TRANSFER)
-
-ENV_THREADS = "SCATTER_THREADS"
 
 
 def default_coupling_grid() -> tuple[float, ...]:
@@ -140,103 +132,60 @@ def _table_meta() -> dict[str, str]:
     }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(ENV_THREADS)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_THREADS} must be a positive integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"{ENV_THREADS} must be a positive integer, got {raw!r}")
-    return count
-
-
-def _evaluate_point(
-    model: ModelFamily, win: InteractionWindow, phi: PhiAngle, solver: str
-) -> tuple[ScatteringAmplitudes, float]:
-    if solver == SOLVER_CLOSED_FORM:
-        return closed_form_amplitudes(model, phi), 0.0
-    report: SolveReport
-    if solver == SOLVER_MATCHING:
-        report = solve_matching(win, phi)
-    else:
-        report = solve_transfer_matrix(win, phi)
-    return report.amplitudes, report.residual_max
-
-
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid and return one row per (point, solver), sorted."""
     template = spec.model
+    couplings = sorted(set(spec.couplings))
     if template.kind == PT_PAIR:
-        variants = [(m, x) for m in sorted(set(spec.m_list)) for x in sorted(set(spec.couplings))]
-        make = lambda m, c: ModelFamily.pt_delta_pair(m, c)
+        models = [ModelFamily.pt_delta_pair(m, x) for m in sorted(set(spec.m_list)) for x in couplings]
     elif template.kind == ULTRALOCAL:
-        variants = [(0, a) for a in sorted(set(spec.couplings))]
-        make = lambda m, c: ModelFamily.ultralocal(c)
+        models = [ModelFamily.ultralocal(a) for a in couplings]
     else:
-        variants = [(0, 0.0)]
-        make = lambda m, c: template
+        models = [template]
 
-    solvers = tuple(sorted(set(spec.solvers)))
-    phis = tuple(sorted(set(spec.phis), key=lambda p: p.phi))
+    solvers = sorted(set(spec.solvers))
+    phis = sorted(set(spec.phis), key=lambda p: p.phi)
     conv = LatticeConvention()
-
-    points: list[tuple[ModelFamily, InteractionWindow, PhiAngle, str]] = []
-    for m_sep, coupling in variants:
-        model = make(m_sep, coupling)
-        win = model.window()
-        for phi in phis:
-            for tag in solvers:
-                points.append((model, win, phi, tag))
-
-    def evaluate(point):
-        model, win, phi, tag = point
-        try:
-            return _evaluate_point(model, win, phi, tag)
-        except (SolverError, ValueError) as exc:
-            return exc
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate, points))
-    else:
-        outcomes = [evaluate(p) for p in points]
 
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
-    for (model, _win, phi, tag), outcome in zip(points, outcomes):
+    for model in models:
+        win = model.window()
         m_sep = model.m_sep or 0
-        coupling = model.coupling
-        if math.isnan(coupling):
-            coupling = 0.0
-        if isinstance(outcome, Exception):
-            errors.append(
-                SweepError(
-                    model=model.kind,
-                    m_sep=m_sep,
-                    coupling=coupling,
-                    phi=phi.phi,
-                    solver=tag,
-                    reason=f"{type(outcome).__name__}: {outcome}",
+        coupling = 0.0 if math.isnan(model.coupling) else model.coupling
+        for phi in phis:
+            for tag in solvers:
+                try:
+                    if tag == SOLVER_CLOSED_FORM:
+                        amplitudes, residual = closed_form_amplitudes(model, phi), 0.0
+                    else:
+                        solve = solve_matching if tag == SOLVER_MATCHING else solve_transfer_matrix
+                        report = solve(win, phi)
+                        amplitudes, residual = report.amplitudes, report.residual_max
+                except (SolverError, ValueError) as exc:
+                    errors.append(
+                        SweepError(
+                            model=model.kind,
+                            m_sep=m_sep,
+                            coupling=coupling,
+                            phi=phi.phi,
+                            solver=tag,
+                            reason=f"{type(exc).__name__}: {exc}",
+                        )
+                    )
+                    continue
+                rows.append(
+                    SweepRow(
+                        model=model.kind,
+                        m_sep=m_sep,
+                        coupling=coupling,
+                        phi=phi.phi,
+                        energy=energy_from_phi(phi, conv),
+                        amplitudes=amplitudes,
+                        solver=tag,
+                        residual=residual,
+                    )
                 )
-            )
-            continue
-        amplitudes, residual = outcome
-        rows.append(
-            SweepRow(
-                model=model.kind,
-                m_sep=m_sep,
-                coupling=coupling,
-                phi=phi.phi,
-                energy=energy_from_phi(phi, conv),
-                amplitudes=amplitudes,
-                solver=tag,
-                residual=residual,
-            )
-        )
     return SweepTable(meta=_table_meta(), rows=tuple(rows), errors=tuple(errors))
 
 

@@ -10,8 +10,9 @@ Custom interaction windows are read from a JSON document
 
     {"lo": -1, "hi": 1, "entries": [{"i": 0, "j": 1, "re": 0.5, "im": 0.0}]}
 
-with ``im`` optional (default 0); unknown fields and duplicate (i, j) pairs
-are rejected.  Sweep tables are written as CSV with the fixed header
+with ``im`` optional (default 0); unknown fields, duplicate (i, j) pairs and
+non-finite numbers are rejected.  Sweep tables are written as CSV with the
+fixed header
 
     model,M,coupling,phi,E,reR,imR,reT,imT,prob_sum,defect,solver,residual
 
@@ -33,6 +34,7 @@ from .analysis import (
     SOLVER_CLOSED_FORM,
     SOLVER_MATCHING,
     SOLVER_TRANSFER,
+    SweepRow,
     SweepSpec,
     SweepTable,
     cross_validate,
@@ -53,7 +55,32 @@ from .core import (
 from .errors import NotTridiagonal, SingularSystem
 from .solver import solve_matching, solve_transfer_matrix
 
-CSV_HEADER = "model,M,coupling,phi,E,reR,imR,reT,imT,prob_sum,defect,solver,residual"
+# Round-trip-safe, locale-independent float text (17 significant digits).
+_FLOAT = "%.17g"
+
+# Sweep row schema: (field name, CSV conversion) in column order.  The CSV
+# header and the keys of JSON rows are the names; _row_values gives the values.
+ROW_SCHEMA = (
+    ("model", "%s"),
+    ("M", "%d"),
+    ("coupling", _FLOAT),
+    ("phi", _FLOAT),
+    ("E", _FLOAT),
+    ("reR", _FLOAT),
+    ("imR", _FLOAT),
+    ("reT", _FLOAT),
+    ("imT", _FLOAT),
+    ("prob_sum", _FLOAT),
+    ("defect", _FLOAT),
+    ("solver", "%s"),
+    ("residual", _FLOAT),
+)
+ROW_FIELDS = tuple(name for name, _ in ROW_SCHEMA)
+CSV_HEADER = ",".join(ROW_FIELDS)
+_CSV_ROW = ",".join(conversion for _, conversion in ROW_SCHEMA)
+
+# Grid axes parsed from lo:hi:step hold at most this many points.
+MAX_RANGE_POINTS = 1_000_000
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -70,8 +97,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    """Round-trip-safe, locale-independent float text (17 significant digits)."""
-    return "%.17g" % value
+    return _FLOAT % value
 
 
 def parse_range(text: str) -> list[float]:
@@ -80,8 +106,12 @@ def parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range bounds must be finite, got {text!r}")
     if not step > 0.0:
         raise ValueError(f"range step must be positive, got {step!r}")
+    if (hi - lo) / step + 1.0 > MAX_RANGE_POINTS:
+        raise ValueError(f"range {text!r} exceeds the limit of {MAX_RANGE_POINTS} grid points")
     values: list[float] = []
     k = 0
     while (value := lo + k * step) <= hi + step / 2.0:
@@ -137,6 +167,8 @@ def load_window_file(path: str) -> InteractionWindow:
             raise ValueError(f"{path}: entry #{k} indices must be integers")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
             raise ValueError(f"{path}: entry #{k} re/im must be numbers")
+        if not all(abs(v) <= sys.float_info.max for v in (re, im)):
+            raise ValueError(f"{path}: entry #{k} re/im must be finite")
         if not (lo <= i <= hi and lo <= j <= hi):
             raise ValueError(f"{path}: entry #{k} index ({i}, {j}) outside [{lo}, {hi}]")
         if (i, j) in entries:
@@ -212,54 +244,37 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _row_values(row: SweepRow) -> tuple:
+    """Values of one sweep row in ROW_SCHEMA order."""
+    amps = row.amplitudes
+    return (
+        row.model,
+        row.m_sep,
+        row.coupling,
+        row.phi,
+        row.energy,
+        amps.R.real,
+        amps.R.imag,
+        amps.T.real,
+        amps.T.imag,
+        row.prob_sum,
+        row.defect,
+        row.solver,
+        row.residual,
+    )
+
+
 def format_table_csv(table: SweepTable) -> str:
     """Render the sweep table in the fixed CSV schema (LF endings, trailing LF)."""
     lines = [CSV_HEADER]
-    for row in table.rows:
-        amps = row.amplitudes
-        lines.append(
-            ",".join(
-                (
-                    row.model,
-                    str(row.m_sep),
-                    _fmt(row.coupling),
-                    _fmt(row.phi),
-                    _fmt(row.energy),
-                    _fmt(amps.R.real),
-                    _fmt(amps.R.imag),
-                    _fmt(amps.T.real),
-                    _fmt(amps.T.imag),
-                    _fmt(row.prob_sum),
-                    _fmt(row.defect),
-                    row.solver,
-                    _fmt(row.residual),
-                )
-            )
-        )
+    lines.extend(_CSV_ROW % _row_values(row) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 
 def table_to_json_dict(table: SweepTable) -> dict:
     return {
         "meta": dict(table.meta),
-        "rows": [
-            {
-                "model": row.model,
-                "M": row.m_sep,
-                "coupling": row.coupling,
-                "phi": row.phi,
-                "E": row.energy,
-                "reR": row.amplitudes.R.real,
-                "imR": row.amplitudes.R.imag,
-                "reT": row.amplitudes.T.real,
-                "imT": row.amplitudes.T.imag,
-                "prob_sum": row.prob_sum,
-                "defect": row.defect,
-                "solver": row.solver,
-                "residual": row.residual,
-            }
-            for row in table.rows
-        ],
+        "rows": [dict(zip(ROW_FIELDS, _row_values(row))) for row in table.rows],
         "errors": [
             {
                 "model": err.model,
@@ -330,13 +345,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed = failed or not ok
         print(f"{name:<28} worst {worst:.3e}  tol {args.tol:.1e}  {'PASS' if ok else 'FAIL'}")
 
-    if args.suite in ("closed-forms", "all"):
-        cv = cross_validate(min(3, args.M_max), tol=args.tol)
-        worst = max(cv.worst_closed_vs_matching, cv.worst_closed_vs_transfer)
-        report("closed-forms vs solvers", worst, worst <= args.tol)
-    if args.suite in ("unitarity", "all"):
-        cv = cross_validate(args.M_max, tol=args.tol)
-        report("probability-sum defect", cv.worst_abs_defect, cv.worst_abs_defect <= args.tol)
+    if args.suite in ("closed-forms", "unitarity", "all"):
+        # Closed forms exist for separations 1..3 only, so the pass through
+        # M_max that checks the defect also yields the closed-form deltas.
+        cv = cross_validate(min(3, args.M_max) if args.suite == "closed-forms" else args.M_max, tol=args.tol)
+        if args.suite != "unitarity":
+            worst = max(cv.worst_closed_vs_matching, cv.worst_closed_vs_transfer)
+            report("closed-forms vs solvers", worst, worst <= args.tol)
+        if args.suite != "closed-forms":
+            report("probability-sum defect", cv.worst_abs_defect, cv.worst_abs_defect <= args.tol)
     if args.suite in ("oracles", "all"):
         agreement = transfer_matching_agreement(tol=args.tol)
         worst = max(agreement.worst_delta_r, agreement.worst_delta_t)

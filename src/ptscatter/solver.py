@@ -22,7 +22,7 @@ RESIDUAL_RTOL * (1 + max |W|) before the solve is declared successful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,13 +179,13 @@ def _assemble_report(
     values: np.ndarray,
     condition_estimate: float,
 ) -> SolveReport:
-    wavefunction = WaveFunctionWindow(lo_ext=win.lo - 2, hi_ext=win.hi + 2, values=values)
     report = SolveReport(
         amplitudes=amplitudes,
-        wavefunction=wavefunction,
-        residual_max=_wavefunction_residual(win, phi, wavefunction),
+        wavefunction=WaveFunctionWindow(lo_ext=win.lo - 2, hi_ext=win.hi + 2, values=values),
+        residual_max=math.nan,
         condition_estimate=condition_estimate,
     )
+    report = replace(report, residual_max=residual(win, phi, report))
     tol = RESIDUAL_RTOL * (1.0 + win.max_abs_entry())
     if not report.residual_max <= tol:
         raise SingularSystem(
@@ -257,26 +257,26 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     return _assemble_report(win, phi, amplitudes, psi, float(np.max(np.abs(psi))))
 
 
-def _wavefunction_residual(win: InteractionWindow, phi: PhiAngle, wf: WaveFunctionWindow) -> float:
-    two_cos = 2.0 * math.cos(phi.phi)
-    worst = 0.0
-    for m in range(win.lo - 1, win.hi + 2):
-        total = 0j
-        for j, coeff in hamiltonian_row(win, m, two_cos).items():
-            total += coeff * wf.value(j)
-        worst = max(worst, abs(total))
-    return worst
-
-
 def residual(win: InteractionWindow, phi: PhiAngle, report: SolveReport) -> float:
     """Max row residual of the lattice equation over rows [lo-1, hi+1].
 
     Uses the wavefunction stored in the report, which must cover
-    [lo-2, hi+2].
+    [lo-2, hi+2].  A row whose residual is NaN makes the result NaN, so it
+    fails every tolerance check.
     """
     wf = report.wavefunction
     if wf.lo_ext > win.lo - 2 or wf.hi_ext < win.hi + 2:
         raise ValueError(
             f"report wavefunction [{wf.lo_ext}, {wf.hi_ext}] does not cover [{win.lo - 2}, {win.hi + 2}]"
         )
-    return _wavefunction_residual(win, phi, wf)
+    two_cos = 2.0 * math.cos(phi.phi)
+    worst = 0.0
+    for m in range(win.lo - 1, win.hi + 2):
+        total = 0j
+        for j, coeff in hamiltonian_row(win, m, two_cos).items():
+            total += coeff * wf.value(j)
+        row_residual = abs(total)
+        if math.isnan(row_residual):
+            return row_residual
+        worst = max(worst, row_residual)
+    return worst

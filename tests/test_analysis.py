@@ -126,20 +126,6 @@ class TestRunSweep:
         assert format_table_csv(first) == format_table_csv(second)
         assert first.rows == second.rows
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        spec = pair_spec(couplings=(0.3, -0.3), phis=default_phi_grid(6), m_list=(1, 3))
-        monkeypatch.delenv("SCATTER_THREADS", raising=False)
-        serial = run_sweep(spec)
-        monkeypatch.setenv("SCATTER_THREADS", "4")
-        threaded = run_sweep(spec)
-        assert format_table_csv(serial) == format_table_csv(threaded)
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
-    def test_invalid_thread_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("SCATTER_THREADS", bad)
-        with pytest.raises(ValueError):
-            run_sweep(pair_spec())
-
     def test_meta_carries_tool_identity(self):
         meta = run_sweep(pair_spec()).meta
         assert meta["tool"] == "ptscatter"

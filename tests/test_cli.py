@@ -1,9 +1,12 @@
 """CLI surface: flags, exit codes, file formats, determinism."""
 
 import json
+import warnings
 
 import pytest
 
+from ptscatter import cli
+from ptscatter.analysis import OracleAgreement
 from ptscatter.cli import CSV_HEADER, load_window_file, main, parse_int_list, parse_range
 
 GOOD_WINDOW = {
@@ -42,6 +45,16 @@ class TestParseHelpers:
     def test_range_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_range(bad)
+
+    @pytest.mark.parametrize("bad", ["nan:1:0.5", "0:-inf:1"])
+    def test_range_rejects_non_finite_bounds(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            parse_range(bad)
+
+    def test_range_rejects_grid_over_point_limit(self):
+        # 1_000_001 points, one over the cap: rejected before the list is built
+        with pytest.raises(ValueError, match="limit"):
+            parse_range("0:1:1e-6")
 
     def test_int_list(self):
         assert parse_int_list("1,2,3") == [1, 2, 3]
@@ -94,6 +107,14 @@ class TestWindowFile:
         with pytest.raises(ValueError, match="integers"):
             load_window_file(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "number", ['"re": NaN', '"re": Infinity', '"re": 0.5, "im": -Infinity', '"re": 1e400']
+    )
+    def test_rejects_non_finite_numbers(self, tmp_path, number):
+        payload = '{"lo": 0, "hi": 0, "entries": [{"i": 0, "j": 0, %s}]}' % number
+        with pytest.raises(ValueError, match="finite"):
+            load_window_file(self._write(tmp_path, payload))
+
 
 class TestSolveCommand:
     def test_free_point_exits_zero(self, capsys):
@@ -142,6 +163,16 @@ class TestSolveCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["prob_sum"] == pytest.approx(1.0, abs=1e-10)  # that window is PT-symmetric
+
+    def test_non_finite_window_exits_one_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"lo": 0, "hi": 0, "entries": [{"i": 0, "j": 0, "re": NaN}]}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--model", "custom", "--window", str(path), "--phi", "1.0"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not caught
 
     def test_missing_window_file_exits_one(self):
         assert main(["solve", "--model", "custom", "--window", "/no/such/file.json", "--phi", "1.0"]) == 1
@@ -240,6 +271,38 @@ class TestVerifyCommand:
     def test_oracles_suite_passes(self, capsys):
         assert main(["verify", "--suite", "oracles"]) == 0
         assert "matching vs transfer" in capsys.readouterr().out
+
+    @pytest.fixture
+    def counted_verify(self, monkeypatch):
+        """Stub the random-window oracle and count cross_validate calls."""
+        calls = []
+        real = cli.cross_validate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cross_validate", counting)
+        monkeypatch.setattr(
+            cli,
+            "transfer_matching_agreement",
+            lambda tol: OracleAgreement(True, tol, 0, 0, 0.0, 0.0),
+        )
+        return calls
+
+    def test_all_suite_runs_one_cross_validation(self, counted_verify, capsys):
+        assert main(["verify", "--suite", "all", "--M-max", "4"]) == 0
+        assert len(counted_verify) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_all_suite_lines_match_single_suites(self, counted_verify, capsys):
+        assert main(["verify", "--suite", "all", "--M-max", "4"]) == 0
+        combined = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--suite", "closed-forms", "--M-max", "4"]) == 0
+        closed = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--suite", "unitarity", "--M-max", "4"]) == 0
+        unitarity = capsys.readouterr().out.splitlines()
+        assert combined[:2] == closed + unitarity
 
     def test_impossible_tolerance_exits_three(self, capsys):
         assert main(["verify", "--suite", "closed-forms", "--M-max", "1", "--tol", "1e-18"]) == 3

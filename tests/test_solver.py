@@ -287,6 +287,15 @@ class TestResidual:
         )
         assert residual(win, phi, bad) >= 1e-4
 
+    def test_nan_sample_fails_the_gate(self):
+        win = build_pt_delta_pair(1, 0.5)
+        phi = PhiAngle(1.0)
+        report = solve_matching(win, phi)
+        values = report.wavefunction.values.copy()
+        values[0 - (win.lo - 2)] = complex(math.nan, 0.0)  # site 0, inside the window
+        bad = replace(report, wavefunction=WaveFunctionWindow(win.lo - 2, win.hi + 2, values))
+        assert not residual(win, phi, bad) <= 1e-10
+
     def test_rejects_undersized_wavefunction(self):
         small_win = build_pt_delta_pair(1, 0.3)
         report = solve_matching(small_win, PhiAngle(1.0))
