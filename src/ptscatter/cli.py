@@ -129,6 +129,11 @@ def parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _is_json_int(value: object) -> bool:
+    """JSON integer; true and false load as bool, which is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_window_file(path: str) -> InteractionWindow:
     """Read a custom interaction window from its JSON document."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -145,7 +150,7 @@ def load_window_file(path: str) -> InteractionWindow:
         if key not in data:
             raise ValueError(f"{path}: missing field {key!r}")
     lo, hi = data["lo"], data["hi"]
-    if not (isinstance(lo, int) and isinstance(hi, int)):
+    if not (_is_json_int(lo) and _is_json_int(hi)):
         raise ValueError(f"{path}: lo and hi must be integers")
     if not isinstance(data["entries"], list):
         raise ValueError(f"{path}: entries must be a list")
@@ -163,7 +168,7 @@ def load_window_file(path: str) -> InteractionWindow:
             im = item.get("im", 0.0)
         except KeyError as exc:
             raise ValueError(f"{path}: entry #{k} is missing field {exc}") from None
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_json_int(i) and _is_json_int(j)):
             raise ValueError(f"{path}: entry #{k} indices must be integers")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
             raise ValueError(f"{path}: entry #{k} re/im must be numbers")

@@ -77,41 +77,50 @@ class ClosedFormParams:
     gamma: float
 
 
+# One function per real parameter, each checking only its own denominator;
+# the cf_* evaluators and closed_form_params share them.
+
+
+def _param_a(x: float, p: float) -> float:
+    den = float(_checked(1.0 - x * x, 1.0 + x * x, "1 - x^2"))
+    return x * x / den * math.cos(p) / math.sin(p)
+
+
+def _param_alpha(x: float, p: float) -> float:
+    den = float(_checked(1.0 - 2.0 * x * x * math.cos(p) ** 2, 1.0 + x * x, "1 - 2 x^2 cos^2(phi)"))
+    return x * x * math.cos(2.0 * p) * math.cos(p) / math.sin(p) / den
+
+
+def _param_beta(x: float, p: float) -> float:
+    den = float(_checked(1.0 + x * x * math.cos(2.0 * p), 1.0 + x * x, "1 + x^2 cos(2 phi)"))
+    return x * x * math.sin(2.0 * p) / den
+
+
+def _param_gamma(x: float, p: float) -> float:
+    den = float(
+        _checked(1.0 + 2.0 * x * x * math.cos(p) * math.cos(3.0 * p), 1.0 + x * x, "1 + 2 x^2 cos(phi) cos(3 phi)")
+    )
+    return 2.0 * x * x * math.cos(p) * math.sin(3.0 * p) / den
+
+
 def closed_form_params(x: float, phi: PhiAngle) -> ClosedFormParams:
     """Diagnostic view of the real parameters at coupling x and angle phi."""
     p = phi.phi
-    scale = 1.0 + x * x
-    cot = math.cos(p) / math.sin(p)
-    a_den = float(_checked(1.0 - x * x, scale, "1 - x^2"))
-    alpha_den = float(_checked(1.0 - 2.0 * x * x * math.cos(p) ** 2, scale, "1 - 2 x^2 cos^2(phi)"))
-    beta_den = float(_checked(1.0 + x * x * math.cos(2.0 * p), scale, "1 + x^2 cos(2 phi)"))
-    gamma_den = float(_checked(1.0 + 2.0 * x * x * math.cos(p) * math.cos(3.0 * p), scale, "1 + 2 x^2 cos(phi) cos(3 phi)"))
     return ClosedFormParams(
-        A=x * x / a_den * cot,
-        alpha=x * x * math.cos(2.0 * p) * cot / alpha_den,
-        beta=x * x * math.sin(2.0 * p) / beta_den,
-        gamma=2.0 * x * x * math.cos(p) * math.sin(3.0 * p) / gamma_den,
+        A=_param_a(x, p), alpha=_param_alpha(x, p), beta=_param_beta(x, p), gamma=_param_gamma(x, p)
     )
 
 
 def cf_m1(x: float, phi: PhiAngle) -> ScatteringAmplitudes:
     """Delta pair at separation 1: T = 1/(1+iA), R = -iA/(1+iA)."""
-    p = phi.phi
-    den = _checked(1.0 - x * x, 1.0 + x * x, "1 - x^2")
-    big_a = x * x / float(den) * math.cos(p) / math.sin(p)
+    big_a = _param_a(x, phi.phi)
     one = 1.0 + 1j * big_a  # |1 + iA| >= 1 for real A
     return ScatteringAmplitudes(R=-1j * big_a / one, T=1.0 / one)
 
 
 def cf_m2(x: float, phi: PhiAngle) -> ScatteringAmplitudes:
     """Delta pair at separation 2 via the sum/difference Cayley ratios."""
-    p = phi.phi
-    scale = 1.0 + x * x
-    alpha_den = _checked(1.0 - 2.0 * x * x * math.cos(p) ** 2, scale, "1 - 2 x^2 cos^2(phi)")
-    beta_den = _checked(1.0 + x * x * math.cos(2.0 * p), scale, "1 + x^2 cos(2 phi)")
-    alpha = x * x * math.cos(2.0 * p) * math.cos(p) / math.sin(p) / float(alpha_den)
-    beta = x * x * math.sin(2.0 * p) / float(beta_den)
-    u, v = _cayley(alpha), _cayley(beta)
+    u, v = _cayley(_param_alpha(x, phi.phi)), _cayley(_param_beta(x, phi.phi))
     return ScatteringAmplitudes(R=(u - v) / 2.0, T=(u + v) / 2.0)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -86,12 +86,14 @@ class InteractionWindow:
     ``entries`` maps site pairs (i, j) to complex values; pairs that are
     absent count as zero.  Entries equal to exactly zero are dropped on
     construction, so windows that differ only by explicit zero padding of the
-    entry map compare equal.
+    entry map compare equal.  The nonzero entries are also indexed by row, in
+    entry order, for ``row``.
     """
 
     lo: int
     hi: int
     entries: Mapping[tuple[int, int], complex] = field(default_factory=dict)
+    _rows: Mapping[int, tuple[tuple[int, complex], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -104,6 +106,10 @@ class InteractionWindow:
             if value != 0:
                 cleaned[(int(i), int(j))] = value
         object.__setattr__(self, "entries", cleaned)
+        rows: dict[int, list[tuple[int, complex]]] = {}
+        for (i, j), value in cleaned.items():
+            rows.setdefault(i, []).append((j, value))
+        object.__setattr__(self, "_rows", {i: tuple(row) for i, row in rows.items()})
 
     @property
     def n_sites(self) -> int:
@@ -112,11 +118,9 @@ class InteractionWindow:
     def entry(self, i: int, j: int) -> complex:
         return self.entries.get((i, j), 0j)
 
-    def row(self, i: int) -> Iterator[tuple[int, complex]]:
+    def row(self, i: int) -> tuple[tuple[int, complex], ...]:
         """Nonzero entries (j, W[i, j]) of row i."""
-        for (ii, j), value in self.entries.items():
-            if ii == i:
-                yield j, value
+        return self._rows.get(i, ())
 
     def max_abs_entry(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
@@ -215,11 +219,6 @@ class ModelFamily:
         if self.kind == ULTRALOCAL:
             return float(self.a)  # type: ignore[arg-type]
         return math.nan
-
-    @property
-    def hops_zeroed(self) -> bool:
-        """True where a total nearest-neighbour coupling vanishes (|x| = 1)."""
-        return self.kind == PT_PAIR and abs(abs(float(self.x)) - 1.0) == 0.0  # type: ignore[arg-type]
 
     def window(self) -> InteractionWindow:
         if self.kind == PT_PAIR:

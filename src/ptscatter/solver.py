@@ -22,7 +22,7 @@ RESIDUAL_RTOL * (1 + max |W|) before the solve is declared successful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class SolveReport:
     amplitudes: ScatteringAmplitudes
     wavefunction: WaveFunctionWindow
     residual_max: float
-    condition_estimate: float
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,6 @@ class MatchingSystem:
     hi: int
     matrix: np.ndarray
     rhs: np.ndarray
-    labels: tuple[str, ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.hi - self.lo + 1
 
 
 def _check_phi(phi: PhiAngle) -> float:
@@ -93,12 +87,16 @@ def _severed_bond(win: InteractionWindow) -> tuple[int, int] | None:
     """
     if not win.is_tridiagonal():
         return None
-    tol = HOPPING_RTOL * (1.0 + win.max_abs_entry())
     for i in range(win.lo, win.hi):
         for r, c in ((i + 1, i), (i, i + 1)):
-            if abs(-1.0 + win.entry(r, c)) <= tol:
+            if _bond_vanishes(win.entry(r, c)):
                 return r, c
     return None
+
+
+def _bond_vanishes(w: complex) -> bool:
+    """Whether the total coupling -1 + w cancels to rounding of its two terms."""
+    return abs(-1.0 + w) <= HOPPING_RTOL * (1.0 + abs(w))
 
 
 def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -107,12 +105,6 @@ def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Raises SingularSystem when the best available pivot falls below
     PIVOT_RTOL of its row scale.
     """
-    x, _ = _gauss_solve(matrix, rhs)
-    return x
-
-
-def _gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Elimination core; also returns the max/min pivot-magnitude ratio."""
     a = np.array(matrix, dtype=complex)
     b = np.array(rhs, dtype=complex)
     n = b.size
@@ -124,7 +116,6 @@ def _gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float
     if np.min(scale) == 0.0:
         raise SingularSystem("matching matrix has an identically zero row")
 
-    pivot_mags = np.empty(n)
     for k in range(n):
         rel = np.abs(a[k:, k]) / scale[k:]
         p = int(np.argmax(rel)) + k
@@ -136,7 +127,6 @@ def _gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float
             a[[k, p]] = a[[p, k]]
             b[[k, p]] = b[[p, k]]
             scale[[k, p]] = scale[[p, k]]
-        pivot_mags[k] = abs(a[k, k])
         if k + 1 < n:
             mult = a[k + 1 :, k] / a[k, k]
             a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
@@ -145,7 +135,7 @@ def _gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float
     x = np.zeros(n, dtype=complex)
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - np.dot(a[k, k + 1 :], x[k + 1 :])) / a[k, k]
-    return x, float(np.max(pivot_mags) / np.min(pivot_mags))
+    return x
 
 
 def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> MatchingSystem:
@@ -167,9 +157,7 @@ def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> MatchingSyst
                 a[r, n - 1] += coeff * plane_wave(j, phi_val)
             else:
                 a[r, j - lo] += coeff
-
-    labels = ("R", *(f"psi[{m}]" for m in range(lo + 1, hi)), "T")
-    return MatchingSystem(lo=lo, hi=hi, matrix=a, rhs=b, labels=labels)
+    return MatchingSystem(lo=lo, hi=hi, matrix=a, rhs=b)
 
 
 def _assemble_report(
@@ -177,21 +165,13 @@ def _assemble_report(
     phi: PhiAngle,
     amplitudes: ScatteringAmplitudes,
     values: np.ndarray,
-    condition_estimate: float,
 ) -> SolveReport:
-    report = SolveReport(
-        amplitudes=amplitudes,
-        wavefunction=WaveFunctionWindow(lo_ext=win.lo - 2, hi_ext=win.hi + 2, values=values),
-        residual_max=math.nan,
-        condition_estimate=condition_estimate,
-    )
-    report = replace(report, residual_max=residual(win, phi, report))
+    wavefunction = WaveFunctionWindow(lo_ext=win.lo - 2, hi_ext=win.hi + 2, values=values)
+    residual_max = _max_row_residual(win, phi, wavefunction)
     tol = RESIDUAL_RTOL * (1.0 + win.max_abs_entry())
-    if not report.residual_max <= tol:
-        raise SingularSystem(
-            f"row residual {report.residual_max:.3e} exceeds {tol:.3e}; system too ill-conditioned to trust"
-        )
-    return report
+    if not residual_max <= tol:
+        raise SingularSystem(f"row residual {residual_max:.3e} exceeds {tol:.3e}; system too ill-conditioned to trust")
+    return SolveReport(amplitudes=amplitudes, wavefunction=wavefunction, residual_max=residual_max)
 
 
 def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
@@ -202,7 +182,7 @@ def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
         raise SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
 
     system = build_matching_system(win, phi)
-    u, cond = _gauss_solve(system.matrix, system.rhs)
+    u = solve_complex_linear(system.matrix, system.rhs)
     big_r, big_t = complex(u[0]), complex(u[-1])
 
     lo, hi = win.lo, win.hi
@@ -214,7 +194,7 @@ def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
             values[k] = u[m - lo]
         else:
             values[k] = big_t * plane_wave(m, phi_val)
-    return _assemble_report(win, phi, ScatteringAmplitudes(R=big_r, T=big_t), values, cond)
+    return _assemble_report(win, phi, ScatteringAmplitudes(R=big_r, T=big_t), values)
 
 
 def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
@@ -229,7 +209,6 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
         raise NotTridiagonal(f"window entry {offender} lies beyond nearest neighbours")
 
     lo, hi = win.lo, win.hi
-    hop_tol = HOPPING_RTOL * (1.0 + win.max_abs_entry())
     two_cos = 2.0 * math.cos(phi_val)
 
     psi = np.zeros(hi + 2 - (lo - 2) + 1, dtype=complex)
@@ -239,7 +218,7 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     for m in range(hi, lo - 2, -1):
         row = hamiltonian_row(win, m, two_cos)
         c_sub = row.pop(m - 1)
-        if abs(c_sub) <= hop_tol:
+        if _bond_vanishes(win.entry(m, m - 1)):
             raise ZeroHopping(f"total coupling -1 + W[{m}, {m - 1}] vanishes")
         psi[m - 1 - base] = -sum(coeff * psi[j - base] for j, coeff in row.items()) / c_sub
 
@@ -254,7 +233,7 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
 
     psi /= alpha
     amplitudes = ScatteringAmplitudes(R=complex(beta / alpha), T=complex(1.0 / alpha))
-    return _assemble_report(win, phi, amplitudes, psi, float(np.max(np.abs(psi))))
+    return _assemble_report(win, phi, amplitudes, psi)
 
 
 def residual(win: InteractionWindow, phi: PhiAngle, report: SolveReport) -> float:
@@ -269,6 +248,10 @@ def residual(win: InteractionWindow, phi: PhiAngle, report: SolveReport) -> floa
         raise ValueError(
             f"report wavefunction [{wf.lo_ext}, {wf.hi_ext}] does not cover [{win.lo - 2}, {win.hi + 2}]"
         )
+    return _max_row_residual(win, phi, wf)
+
+
+def _max_row_residual(win: InteractionWindow, phi: PhiAngle, wf: WaveFunctionWindow) -> float:
     two_cos = 2.0 * math.cos(phi.phi)
     worst = 0.0
     for m in range(win.lo - 1, win.hi + 2):

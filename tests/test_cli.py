@@ -103,9 +103,15 @@ class TestWindowFile:
             load_window_file(self._write(tmp_path, "lo = 0"))
 
     def test_rejects_non_integer_indices(self, tmp_path):
-        doc = {"lo": 0, "hi": 1, "entries": [{"i": 0.5, "j": 1, "re": 1.0}]}
-        with pytest.raises(ValueError, match="integers"):
-            load_window_file(self._write(tmp_path, doc))
+        # JSON true/false load as bool, an int subclass; they are not indices.
+        for doc in (
+            {"lo": 0, "hi": 1, "entries": [{"i": 0.5, "j": 1, "re": 1.0}]},
+            {"lo": 0, "hi": 1, "entries": [{"i": True, "j": 0, "re": 0.5}]},
+            {"lo": 0, "hi": 1, "entries": [{"i": 0, "j": False, "re": 0.5}]},
+            {"lo": False, "hi": True, "entries": [{"i": True, "j": False, "re": 0.5}]},
+        ):
+            with pytest.raises(ValueError, match="integers"):
+                load_window_file(self._write(tmp_path, doc))
 
     @pytest.mark.parametrize(
         "number", ['"re": NaN', '"re": Infinity', '"re": 0.5, "im": -Infinity', '"re": 1e400']

@@ -180,11 +180,6 @@ class TestModelFamily:
         model = ModelFamily.pt_delta_pair(2, 0.3)
         assert model.window() == build_pt_delta_pair(2, 0.3)
         assert model.coupling == 0.3
-        assert not model.hops_zeroed
-
-    def test_pair_flags_unit_coupling(self):
-        assert ModelFamily.pt_delta_pair(1, 1.0).hops_zeroed
-        assert ModelFamily.pt_delta_pair(1, -1.0).hops_zeroed
 
     def test_ultralocal_roundtrip(self):
         model = ModelFamily.ultralocal(-0.2)
