@@ -1,10 +1,10 @@
 """
 Batch computations over parameter grids.
 
-``run_sweep`` evaluates a model family over coupling/angle grids with one or
-more solver routes and collects the results into a flat, deterministically
-ordered table (sorted by separation, coupling, angle, solver tag).  Singular
-grid points become error records instead of aborting the sweep.
+``run_sweep`` evaluates a list of model points over an angle grid with one
+or more solver routes and collects the results into a flat, deterministically
+ordered table (models in the given order, then angle, then solver tag).
+Singular grid points become error records instead of aborting the sweep.
 
 ``cross_validate`` closes the oracle triangle for the delta-pair family:
 closed forms against both solvers where a closed form exists (separations
@@ -24,9 +24,6 @@ import numpy as np
 from ._version import __version__
 from .closedforms import closed_form_amplitudes
 from .core import (
-    CUSTOM,
-    PT_PAIR,
-    ULTRALOCAL,
     InteractionWindow,
     LatticeConvention,
     ModelFamily,
@@ -35,7 +32,7 @@ from .core import (
     energy_from_phi,
 )
 from .errors import SingularSystem, SolverError
-from .solver import PHI_EDGE_GUARD, solve_matching, solve_transfer_matrix
+from .solver import PHI_EDGE_GUARD, PIVOT_RTOL, RESIDUAL_RTOL, solve_matching, solve_transfer_matrix
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
@@ -58,25 +55,19 @@ def default_phi_grid(count: int = 50) -> tuple[PhiAngle, ...]:
 class SweepSpec:
     """Grid description for one sweep.
 
-    ``model`` supplies the family variant (and the window, for custom
-    models); ``couplings`` and ``m_list`` parameterize it per grid point.
-    For ultralocal models the couplings are the a values and ``m_list`` is
-    ignored; for custom windows both are ignored.
+    ``models`` are evaluated in the given order; ``phis`` and ``solvers`` are
+    de-duplicated and sorted.
     """
 
-    model: ModelFamily
-    couplings: tuple[float, ...] = ()
-    phis: tuple[PhiAngle, ...] = ()
-    m_list: tuple[int, ...] = (1,)
+    models: Sequence[ModelFamily]
+    phis: tuple[PhiAngle, ...]
     solvers: tuple[str, ...] = (SOLVER_MATCHING,)
 
     def __post_init__(self) -> None:
+        if not self.models:
+            raise ValueError("empty model list")
         if not self.phis:
             raise ValueError("empty phi grid")
-        if self.model.kind != CUSTOM and not self.couplings:
-            raise ValueError("empty coupling grid")
-        if self.model.kind == PT_PAIR and not self.m_list:
-            raise ValueError("empty separation list")
         for phi in self.phis:
             if phi.phi < PHI_EDGE_GUARD or phi.phi > math.pi - PHI_EDGE_GUARD:
                 raise ValueError(f"phi={phi.phi!r} is inside the band-edge guard")
@@ -127,31 +118,21 @@ def _table_meta() -> dict[str, str]:
         "tool": "ptscatter",
         "version": __version__,
         "convention": "zero-diagonal kinetic term, h=1, E=-2*cos(phi); left incidence anchored at window edges",
-        "success_residual_rtol": "1e-10",
-        "pivot_rtol": "1e-14",
+        "success_residual_rtol": f"{RESIDUAL_RTOL:g}",
+        "pivot_rtol": f"{PIVOT_RTOL:g}",
     }
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the grid and return one row per (point, solver), sorted."""
-    template = spec.model
-    couplings = sorted(set(spec.couplings))
-    if template.kind == PT_PAIR:
-        models = [ModelFamily.pt_delta_pair(m, x) for m in sorted(set(spec.m_list)) for x in couplings]
-    elif template.kind == ULTRALOCAL:
-        models = [ModelFamily.ultralocal(a) for a in couplings]
-    else:
-        models = [template]
-
+    """Evaluate the grid and return one row per (model, phi, solver), in that order."""
     solvers = sorted(set(spec.solvers))
     phis = sorted(set(spec.phis), key=lambda p: p.phi)
     conv = LatticeConvention()
 
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
-    for model in models:
+    for model in spec.models:
         win = model.window()
-        m_sep = model.m_sep or 0
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
         for phi in phis:
             for tag in solvers:
@@ -166,7 +147,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                     errors.append(
                         SweepError(
                             model=model.kind,
-                            m_sep=m_sep,
+                            m_sep=model.m_sep,
                             coupling=coupling,
                             phi=phi.phi,
                             solver=tag,
@@ -177,7 +158,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                 rows.append(
                     SweepRow(
                         model=model.kind,
-                        m_sep=m_sep,
+                        m_sep=model.m_sep,
                         coupling=coupling,
                         phi=phi.phi,
                         energy=energy_from_phi(phi, conv),
@@ -216,9 +197,7 @@ def unitarity_report(table: SweepTable, tol: float = 1e-9) -> UnitarityReport:
     for tag in sorted({row.model for row in table.rows}):
         rows = [row for row in table.rows if row.model == tag]
         defects = np.array([row.defect for row in rows])
-        signed = [
-            row for row in rows if abs(row.defect) > tol and row.coupling != 0.0 and not math.isnan(row.coupling)
-        ]
+        signed = [row for row in rows if abs(row.defect) > tol and row.coupling != 0.0]
         if signed:
             opposes: bool | None = all(
                 (row.defect < 0.0) == (row.coupling > 0.0) for row in signed

@@ -216,7 +216,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "model": model.kind,
-            "M": model.m_sep or 0,
+            "M": model.m_sep,
             "coupling": None if math.isnan(model.coupling) else model.coupling,
             "phi": phi.phi,
             "solver": args.solver,
@@ -235,7 +235,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=False))
         return EXIT_OK
 
-    print(f"model        = {model.kind} (M={model.m_sep or 0}, coupling={model.coupling})")
+    print(f"model        = {model.kind} (M={model.m_sep}, coupling={model.coupling})")
     print(f"phi          = {_fmt(phi.phi)}")
     print(f"E            = {_fmt(e_plain)} (zero-diagonal) / {_fmt(e_shift)} (shifted-diagonal)")
     print(f"R            = {_fmt(amps.R.real)} {amps.R.imag:+.17g}i")
@@ -294,36 +294,31 @@ def table_to_json_dict(table: SweepTable) -> dict:
     }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _sweep_models(args: argparse.Namespace) -> list[ModelFamily]:
+    """Sweep model points in table order: by separation, then coupling, each sorted and de-duplicated."""
     if args.model == PT_PAIR:
         if args.x_range is None:
             raise ValueError("pt-pair sweeps need --x-range")
-        couplings = parse_range(args.x_range)
-        m_list = parse_int_list(args.M_list) if args.M_list else [args.M or 1]
-        template = ModelFamily.pt_delta_pair(1, 0.0)
-    elif args.model == ULTRALOCAL:
+        couplings = sorted(set(parse_range(args.x_range)))
+        m_list = parse_int_list(args.M_list) if args.M_list else [1 if args.M is None else args.M]
+        return [ModelFamily.pt_delta_pair(m, x) for m in sorted(set(m_list)) for x in couplings]
+    if args.model == ULTRALOCAL:
         if args.a_range is None:
             raise ValueError("ultralocal sweeps need --a-range")
-        couplings = parse_range(args.a_range)
-        m_list = [0]
-        template = ModelFamily.ultralocal(0.0)
-    else:
-        if args.window is None:
-            raise ValueError("custom sweeps need --window <path>")
-        couplings = [0.0]
-        m_list = [0]
-        template = ModelFamily.custom_window(load_window_file(args.window))
+        return [ModelFamily.ultralocal(a) for a in sorted(set(parse_range(args.a_range)))]
+    if args.window is None:
+        raise ValueError("custom sweeps need --window <path>")
+    return [ModelFamily.custom_window(load_window_file(args.window))]
 
-    phis = tuple(PhiAngle(v) for v in parse_range(args.phi_range))
-    solvers = ALL_SOLVERS if args.solver == "all" else (args.solver,)
-    spec = SweepSpec(
-        model=template,
-        couplings=tuple(couplings),
-        phis=phis,
-        m_list=tuple(m_list),
-        solvers=solvers,
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    table = run_sweep(
+        SweepSpec(
+            models=_sweep_models(args),
+            phis=tuple(PhiAngle(v) for v in parse_range(args.phi_range)),
+            solvers=ALL_SOLVERS if args.solver == "all" else (args.solver,),
+        )
     )
-    table = run_sweep(spec)
 
     if args.format == "csv":
         text = format_table_csv(table)

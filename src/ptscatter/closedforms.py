@@ -43,7 +43,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import CUSTOM, PT_PAIR, ULTRALOCAL, ModelFamily, PhiAngle, ScatteringAmplitudes
+from .core import PT_PAIR, ULTRALOCAL, ModelFamily, PhiAngle, ScatteringAmplitudes
 from .errors import SingularCoupling
 
 DENOM_RTOL = 1e-14
@@ -166,10 +166,8 @@ def closed_form_amplitudes(model: ModelFamily, phi: PhiAngle) -> ScatteringAmpli
     if model.kind == PT_PAIR:
         forms = {1: cf_m1, 2: cf_m2, 3: cf_m3}
         if model.m_sep in forms:
-            return forms[model.m_sep](float(model.x), phi)  # type: ignore[arg-type]
+            return forms[model.m_sep](model.coupling, phi)
         raise ValueError(f"no closed form at separation {model.m_sep}; use a numeric solver")
     if model.kind == ULTRALOCAL:
-        return cf_ultralocal(float(model.a), phi)  # type: ignore[arg-type]
-    if model.kind == CUSTOM:
-        raise ValueError("no closed form for custom windows; use a numeric solver")
-    raise ValueError(f"unknown model kind {model.kind!r}")
+        return cf_ultralocal(model.coupling, phi)
+    raise ValueError("no closed form for custom windows; use a numeric solver")

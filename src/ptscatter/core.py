@@ -175,57 +175,48 @@ def build_ultralocal(a: float) -> InteractionWindow:
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """Tagged model selector used by sweeps and the CLI.
+    """One model point, built by one of the three constructors below.
 
-    Variants: PT delta pair (separation m_sep, coupling x), ultralocal
-    (coupling a), or a custom window supplied verbatim.
+    ``m_sep`` is the pt-pair separation (0 for ultralocal and custom models);
+    ``coupling`` is x or a (nan for custom models).  Only ``custom_window``
+    sets ``custom``; the other two build their window on demand.
     """
 
     kind: str
-    m_sep: int | None = None
-    x: float | None = None
-    a: float | None = None
+    m_sep: int
+    coupling: float
     custom: InteractionWindow | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == PT_PAIR:
-            if self.m_sep is None or self.m_sep < 1 or self.x is None:
-                raise ValueError("pt-pair model needs m_sep >= 1 and a coupling x")
-        elif self.kind == ULTRALOCAL:
-            if self.a is None:
-                raise ValueError("ultralocal model needs a coupling a")
-        elif self.kind == CUSTOM:
-            if self.custom is None:
-                raise ValueError("custom model needs an InteractionWindow")
-        else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
 
     @classmethod
     def pt_delta_pair(cls, m_sep: int, x: float) -> ModelFamily:
-        return cls(kind=PT_PAIR, m_sep=m_sep, x=float(x))
+        if m_sep < 1:
+            raise ValueError(f"separation must be a positive integer, got {m_sep!r}")
+        return cls(PT_PAIR, m_sep, float(x))
 
     @classmethod
     def ultralocal(cls, a: float) -> ModelFamily:
-        return cls(kind=ULTRALOCAL, a=float(a))
+        return cls(ULTRALOCAL, 0, float(a))
 
     @classmethod
     def custom_window(cls, window: InteractionWindow) -> ModelFamily:
-        return cls(kind=CUSTOM, custom=window)
+        return cls(CUSTOM, 0, math.nan, window)
 
     @property
-    def coupling(self) -> float:
-        if self.kind == PT_PAIR:
-            return float(self.x)  # type: ignore[arg-type]
-        if self.kind == ULTRALOCAL:
-            return float(self.a)  # type: ignore[arg-type]
-        return math.nan
+    def x(self) -> float:
+        """Read-only alias of ``coupling`` for pt-pair models."""
+        return self.coupling
+
+    @property
+    def a(self) -> float:
+        """Read-only alias of ``coupling`` for ultralocal models."""
+        return self.coupling
 
     def window(self) -> InteractionWindow:
+        if self.custom is not None:
+            return self.custom
         if self.kind == PT_PAIR:
-            return build_pt_delta_pair(self.m_sep, self.x)  # type: ignore[arg-type]
-        if self.kind == ULTRALOCAL:
-            return build_ultralocal(self.a)  # type: ignore[arg-type]
-        return self.custom  # type: ignore[return-value]
+            return build_pt_delta_pair(self.m_sep, self.coupling)
+        return build_ultralocal(self.coupling)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ PIVOT_RTOL = 1e-14
 RESIDUAL_RTOL = 1e-10
 HOPPING_RTOL = 1e-14
 PHI_EDGE_GUARD = 1e-8
+# The transfer recursion rescales psi by a power of two once a sample grows
+# beyond this, so strong barriers cannot overflow it.
+_RESCALE_ABOVE = 1e100
 
 
 @dataclass(frozen=True)
@@ -215,12 +218,18 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     base = lo - 2
     for m in range(hi, hi + 3):
         psi[m - base] = plane_wave(m, phi_val)
+    scale_exp = 0  # psi holds the wavefunction times 2**-scale_exp
     for m in range(hi, lo - 2, -1):
         row = hamiltonian_row(win, m, two_cos)
         c_sub = row.pop(m - 1)
         if _bond_vanishes(win.entry(m, m - 1)):
             raise ZeroHopping(f"total coupling -1 + W[{m}, {m - 1}] vanishes")
-        psi[m - 1 - base] = -sum(coeff * psi[j - base] for j, coeff in row.items()) / c_sub
+        value = -sum(coeff * psi[j - base] for j, coeff in row.items()) / c_sub
+        psi[m - 1 - base] = value
+        if abs(value) > _RESCALE_ABOVE:
+            e = math.frexp(abs(value))[1]
+            psi *= 2.0**-e
+            scale_exp += e
 
     # Fit psi at the two left-most free sites to alpha*e^{i m phi} + beta*e^{-i m phi}.
     a_site, b_site = lo - 1, lo - 2
@@ -232,7 +241,9 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
         raise SingularSystem("incident amplitude vanishes (spectral singularity)")
 
     psi /= alpha
-    amplitudes = ScatteringAmplitudes(R=complex(beta / alpha), T=complex(1.0 / alpha))
+    inv = 1.0 / alpha
+    t = complex(math.ldexp(inv.real, -scale_exp), math.ldexp(inv.imag, -scale_exp))
+    amplitudes = ScatteringAmplitudes(R=complex(beta / alpha), T=t)
     return _assemble_report(win, phi, amplitudes, psi)
 
 

@@ -19,16 +19,18 @@ from ptscatter.analysis import SOLVER_CLOSED_FORM, SOLVER_MATCHING, SOLVER_TRANS
 from ptscatter.cli import format_table_csv
 
 
-def pair_spec(**overrides):
+def pair_spec(couplings=(0.0,), m_list=(1,), **overrides):
     base = dict(
-        model=ModelFamily.pt_delta_pair(1, 0.0),
-        couplings=(0.0,),
+        models=[ModelFamily.pt_delta_pair(m, x) for m in m_list for x in couplings],
         phis=(PhiAngle(1.0),),
-        m_list=(1,),
         solvers=(SOLVER_MATCHING,),
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def ultralocal_spec(couplings, phis):
+    return SweepSpec(models=[ModelFamily.ultralocal(a) for a in couplings], phis=phis)
 
 
 class TestSweepSpecValidation:
@@ -51,10 +53,7 @@ class TestSweepSpecValidation:
     def test_custom_windows_need_no_couplings(self):
         from ptscatter import InteractionWindow
 
-        spec = SweepSpec(
-            model=ModelFamily.custom_window(InteractionWindow(lo=0, hi=0)),
-            phis=(PhiAngle(1.0),),
-        )
+        spec = SweepSpec(models=[ModelFamily.custom_window(InteractionWindow(lo=0, hi=0))], phis=(PhiAngle(1.0),))
         table = run_sweep(spec)
         assert len(table.rows) == 1
 
@@ -87,14 +86,21 @@ class TestRunSweep:
             assert row.defect == row.prob_sum - 1.0
 
     def test_row_ordering_is_sorted(self):
+        # Models come in the given order; phis and solvers are de-duplicated and sorted.
         spec = pair_spec(
             couplings=(0.5, -0.5),
-            phis=(PhiAngle(2.0), PhiAngle(1.0)),
+            phis=(PhiAngle(2.0), PhiAngle(1.0), PhiAngle(2.0)),
             m_list=(2, 1),
-            solvers=(SOLVER_TRANSFER, SOLVER_MATCHING),
+            solvers=(SOLVER_TRANSFER, SOLVER_MATCHING, SOLVER_TRANSFER),
         )
         keys = [(r.m_sep, r.coupling, r.phi, r.solver) for r in run_sweep(spec).rows]
-        assert keys == sorted(keys)
+        assert keys == [
+            (m, x, phi, tag)
+            for m in (2, 1)
+            for x in (0.5, -0.5)
+            for phi in (1.0, 2.0)
+            for tag in (SOLVER_MATCHING, SOLVER_TRANSFER)
+        ]
 
     def test_singular_points_become_error_rows(self):
         spec = pair_spec(couplings=(-1.0, 0.5, 1.0), phis=(PhiAngle(1.0),))
@@ -111,11 +117,7 @@ class TestRunSweep:
         assert len(table.errors) == 1 and "ValueError" in table.errors[0].reason
 
     def test_ultralocal_defects(self):
-        spec = SweepSpec(
-            model=ModelFamily.ultralocal(0.0),
-            couplings=(-0.5, 0.0, 0.5),
-            phis=(PhiAngle(math.pi / 2),),
-        )
+        spec = ultralocal_spec((-0.5, 0.0, 0.5), (PhiAngle(math.pi / 2),))
         defects = [row.defect for row in run_sweep(spec).rows]
         assert defects == pytest.approx([145 / 49 - 1, 0.0, 17 / 49 - 1], abs=1e-9)
 
@@ -143,30 +145,20 @@ class TestUnitarityReport:
         assert report.total_violations == 0
 
     def test_ultralocal_sign_pattern(self):
-        spec = SweepSpec(
-            model=ModelFamily.ultralocal(0.0),
-            couplings=(-0.7, -0.2, 0.2, 0.7),
-            phis=default_phi_grid(9),
-        )
+        spec = ultralocal_spec((-0.7, -0.2, 0.2, 0.7), default_phi_grid(9))
         report = unitarity_report(run_sweep(spec), tol=1e-9)
         stats = report.per_model["ultralocal"]
         assert stats.defect_sign_opposes_coupling is True
         assert stats.violations == stats.rows  # anomaly everywhere off zero coupling
 
     def test_positive_couplings_give_negative_defects(self):
-        spec = SweepSpec(
-            model=ModelFamily.ultralocal(0.0),
-            couplings=(0.2, 0.5, 0.8),
-            phis=default_phi_grid(9),
-        )
+        spec = ultralocal_spec((0.2, 0.5, 0.8), default_phi_grid(9))
         table = run_sweep(spec)
         assert all(row.defect < 0 for row in table.rows)
 
     def test_mixed_tables_stay_segregated(self):
         pair_table = run_sweep(pair_spec(couplings=(0.4,), phis=default_phi_grid(3)))
-        ul_table = run_sweep(
-            SweepSpec(model=ModelFamily.ultralocal(0.0), couplings=(0.4,), phis=default_phi_grid(3))
-        )
+        ul_table = run_sweep(ultralocal_spec((0.4,), default_phi_grid(3)))
         merged = type(pair_table)(
             meta=pair_table.meta,
             rows=pair_table.rows + ul_table.rows,

@@ -183,6 +183,13 @@ class TestSolveCommand:
     def test_missing_window_file_exits_one(self):
         assert main(["solve", "--model", "custom", "--window", "/no/such/file.json", "--phi", "1.0"]) == 1
 
+    def test_huge_diagonal_window_transfer_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "barrier.json"
+        path.write_text(json.dumps({"lo": 0, "hi": 3, "entries": [{"i": m, "j": m, "re": 1e150} for m in range(4)]}))
+        code = main(["solve", "--model", "custom", "--window", str(path), "--phi", "1.0", "--solver", "transfer"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSweepCommand:
     def test_csv_header_is_exact(self, capsys):
@@ -251,8 +258,11 @@ class TestSweepCommand:
         }
         assert "errored" in capsys.readouterr().err
 
-    def test_empty_grid_exits_one(self):
+    def test_empty_grid_exits_one(self, capsys):
         assert main(["sweep", "--model", "pt-pair", "--M-list", "1", "--x-range", "1:0:0.5", "--phi-range", "1:1:1"]) == 1
+        # --M 0 is a separation outside the grid, not an unset --M.
+        assert main(["sweep", "--model", "pt-pair", "--M", "0", "--x-range", "0:0:1", "--phi-range", "1:1:1"]) == 1
+        assert "separation" in capsys.readouterr().err
 
     def test_unwritable_path_exits_one(self):
         assert main(

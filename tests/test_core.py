@@ -179,28 +179,24 @@ class TestModelFamily:
     def test_pair_roundtrip(self):
         model = ModelFamily.pt_delta_pair(2, 0.3)
         assert model.window() == build_pt_delta_pair(2, 0.3)
-        assert model.coupling == 0.3
+        assert (model.kind, model.m_sep, model.coupling, model.x) == ("pt-pair", 2, 0.3, 0.3)
 
     def test_ultralocal_roundtrip(self):
         model = ModelFamily.ultralocal(-0.2)
         assert model.window() == build_ultralocal(-0.2)
-        assert model.coupling == -0.2
+        assert (model.kind, model.m_sep, model.coupling, model.a) == ("ultralocal", 0, -0.2, -0.2)
 
     def test_custom_roundtrip(self):
         win = InteractionWindow(lo=0, hi=0, entries={(0, 0): 1.0})
         model = ModelFamily.custom_window(win)
         assert model.window() is win
+        assert (model.kind, model.m_sep) == ("custom", 0)
         assert math.isnan(model.coupling)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ModelFamily(kind="pt-pair", m_sep=None, x=0.1)
-        with pytest.raises(ValueError):
-            ModelFamily(kind="ultralocal")
-        with pytest.raises(ValueError):
-            ModelFamily(kind="custom")
-        with pytest.raises(ValueError):
-            ModelFamily(kind="bogus")
+        for m_sep in (0, -1):
+            with pytest.raises(ValueError, match="separation"):
+                ModelFamily.pt_delta_pair(m_sep, 0.1)
 
 
 class TestValueTypes:

@@ -42,6 +42,13 @@ CASES = (
         ["solve", "--model", "pt-pair", "--M", "2", "--x", "0.4", "--phi", "1.1", "--solver", "transfer",
          "--format", "json"],
     ),
+    ("solve_custom.txt", ["solve", "--model", "custom", "--window", WINDOW, "--phi", "0.9"]),
+    ("solve_custom.json", ["solve", "--model", "custom", "--window", WINDOW, "--phi", "0.9", "--format", "json"]),
+    (
+        "pt_pair_sorted.csv",
+        ["sweep", "--model", "pt-pair", "--M-list", "3,1,1", "--x-range=-0.5:0.5:0.5", "--phi-range", "0.7:2.1:1.4",
+         "--solver", "closed-form"],
+    ),
 )
 
 

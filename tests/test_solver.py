@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -184,9 +185,20 @@ class TestSingularInputs:
         assert abs(rt.T - rm.T) <= 1e-12
 
     def test_huge_diagonal_window_solves_by_matching(self):
-        win = InteractionWindow(lo=0, hi=3, entries={(m, m): 1e150 for m in range(4)})
-        report = solve_matching(win, PhiAngle(1.0))
-        assert math.isfinite(report.amplitudes.prob_sum)
+        # Transfer rescales psi as it grows, so it agrees without overflowing.
+        windows = (
+            InteractionWindow(lo=0, hi=3, entries={(m, m): 1e150 for m in range(4)}),
+            InteractionWindow(lo=-20, hi=20, entries={(m, m): 1e8 * (1 + 0.3j) for m in range(-20, 21)}),
+        )
+        for win in windows:
+            for phi in (PhiAngle(0.3), PhiAngle(1.0), PhiAngle(2.5)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rm = solve_matching(win, phi).amplitudes
+                    rt = solve_transfer_matrix(win, phi).amplitudes
+                assert math.isfinite(rm.prob_sum)
+                assert abs(rt.R - rm.R) <= 1e-12
+                assert abs(rt.T - rm.T) <= 1e-12
 
     def test_non_tridiagonal_rejected_by_transfer(self):
         win = InteractionWindow(lo=0, hi=2, entries={(0, 2): 1.0})
