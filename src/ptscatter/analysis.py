@@ -8,7 +8,8 @@ Singular grid points become error records instead of aborting the sweep.
 
 ``cross_validate`` closes the oracle triangle for the delta-pair family:
 closed forms against both solvers where a closed form exists (separations
-1..3), solver against solver beyond that, plus the probability-sum defect.
+1..3), solver against solver beyond that, plus the probability-sum defect;
+it also holds both solvers to the ultralocal closed form.
 ``transfer_matching_agreement`` does the same for randomly generated
 tridiagonal windows, where no closed form is available at all.
 """
@@ -23,16 +24,9 @@ import numpy as np
 
 from ._version import __version__
 from .closedforms import closed_form_amplitudes
-from .core import (
-    InteractionWindow,
-    LatticeConvention,
-    ModelFamily,
-    PhiAngle,
-    ScatteringAmplitudes,
-    energy_from_phi,
-)
+from .core import PT_PAIR, InteractionWindow, ModelFamily, PhiAngle, ScatteringAmplitudes, energy_from_phi
 from .errors import SingularSystem, SolverError
-from .solver import PHI_EDGE_GUARD, PIVOT_RTOL, RESIDUAL_RTOL, solve_matching, solve_transfer_matrix
+from .solver import PIVOT_RTOL, RESIDUAL_RTOL, solve_matching, solve_transfer_matrix
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
@@ -68,9 +62,6 @@ class SweepSpec:
             raise ValueError("empty model list")
         if not self.phis:
             raise ValueError("empty phi grid")
-        for phi in self.phis:
-            if phi.phi < PHI_EDGE_GUARD or phi.phi > math.pi - PHI_EDGE_GUARD:
-                raise ValueError(f"phi={phi.phi!r} is inside the band-edge guard")
         for tag in self.solvers:
             if tag not in ALL_SOLVERS:
                 raise ValueError(f"unknown solver tag {tag!r}")
@@ -127,7 +118,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid and return one row per (model, phi, solver), in that order."""
     solvers = sorted(set(spec.solvers))
     phis = sorted(set(spec.phis), key=lambda p: p.phi)
-    conv = LatticeConvention()
 
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
@@ -161,7 +151,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                         m_sep=model.m_sep,
                         coupling=coupling,
                         phi=phi.phi,
-                        energy=energy_from_phi(phi, conv),
+                        energy=energy_from_phi(phi),
                         amplitudes=amplitudes,
                         solver=tag,
                         residual=residual,
@@ -249,39 +239,43 @@ def cross_validate(
 
     Separations 1..3 compare the closed forms against both numeric solvers;
     larger separations compare the two solvers against each other.  The
-    probability-sum defect is checked everywhere.  Grid points where the
-    solvers report a singular system (|x| = 1 and the like) are recorded and
-    excluded from pass/fail.
+    probability-sum defect is checked everywhere.  The ultralocal block,
+    over the same couplings and angles, adds its closed form against both
+    solvers; it is not unitary, so it stays out of the defect and of
+    ``points_checked``.  Grid points where the solvers report a singular
+    system (|x| = 1 and the like) are recorded as (separation, coupling),
+    separation 0 for the ultralocal block, and excluded from pass/fail.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max!r}")
     xs = tuple(x_values) if x_values is not None else default_coupling_grid()
     phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
+    models = [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs]
+    models += [ModelFamily.ultralocal(a) for a in xs]
 
     worst_cm = worst_ct = worst_mt = worst_defect = 0.0
     singular: list[tuple[int, float]] = []
     points = 0
-    for m_sep in range(1, m_max + 1):
-        for x in xs:
-            model = ModelFamily.pt_delta_pair(m_sep, x)
-            win = model.window()
-            for phi in phis:
-                try:
-                    rm = solve_matching(win, phi)
-                    rt = solve_transfer_matrix(win, phi)
-                except SingularSystem:
-                    if (m_sep, x) not in singular:
-                        singular.append((m_sep, x))
-                    break
+    for model in models:
+        win = model.window()
+        for phi in phis:
+            try:
+                rm = solve_matching(win, phi)
+                rt = solve_transfer_matrix(win, phi)
+            except SingularSystem:
+                if (model.m_sep, model.coupling) not in singular:
+                    singular.append((model.m_sep, model.coupling))
+                break
+            if model.kind == PT_PAIR:
                 points += 1
                 worst_mt = max(worst_mt, _amp_delta(rm.amplitudes, rt.amplitudes))
                 worst_defect = max(
                     worst_defect, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect)
                 )
-                if m_sep <= 3:
-                    cf = closed_form_amplitudes(model, phi)
-                    worst_cm = max(worst_cm, _amp_delta(cf, rm.amplitudes))
-                    worst_ct = max(worst_ct, _amp_delta(cf, rt.amplitudes))
+            if model.m_sep <= 3:
+                cf = closed_form_amplitudes(model, phi)
+                worst_cm = max(worst_cm, _amp_delta(cf, rm.amplitudes))
+                worst_ct = max(worst_ct, _amp_delta(cf, rt.amplitudes))
 
     passed = max(worst_cm, worst_ct, worst_mt, worst_defect) <= tol
     return CrossValidation(

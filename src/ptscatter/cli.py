@@ -46,7 +46,6 @@ from .core import (
     PT_PAIR,
     ULTRALOCAL,
     InteractionWindow,
-    LatticeConvention,
     ModelFamily,
     PhiAngle,
     energy_from_phi,
@@ -79,7 +78,8 @@ ROW_FIELDS = tuple(name for name, _ in ROW_SCHEMA)
 CSV_HEADER = ",".join(ROW_FIELDS)
 _CSV_ROW = ",".join(conversion for _, conversion in ROW_SCHEMA)
 
-# Grid axes parsed from lo:hi:step hold at most this many points.
+# Grid axes parsed from lo:hi:step, and the models x angles grid of a sweep,
+# hold at most this many points.
 MAX_RANGE_POINTS = 1_000_000
 
 EXIT_OK = 0
@@ -110,11 +110,14 @@ def parse_range(text: str) -> list[float]:
         raise ValueError(f"range bounds must be finite, got {text!r}")
     if not step > 0.0:
         raise ValueError(f"range step must be positive, got {step!r}")
+    over_limit = f"range {text!r} exceeds the limit of {MAX_RANGE_POINTS} grid points"
     if (hi - lo) / step + 1.0 > MAX_RANGE_POINTS:
-        raise ValueError(f"range {text!r} exceeds the limit of {MAX_RANGE_POINTS} grid points")
+        raise ValueError(over_limit)
     values: list[float] = []
     k = 0
     while (value := lo + k * step) <= hi + step / 2.0:
+        if k == MAX_RANGE_POINTS:  # a step below the rounding of lo never reaches hi + step/2
+            raise ValueError(over_limit)
         values.append(value)
         k += 1
     if not values:
@@ -210,8 +213,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solve = solve_matching if args.solver == SOLVER_MATCHING else solve_transfer_matrix
     report = solve(model.window(), phi)
     amps = report.amplitudes
-    e_plain = energy_from_phi(phi, LatticeConvention(diagonal_shift=False))
-    e_shift = energy_from_phi(phi, LatticeConvention(diagonal_shift=True))
+    e_plain = energy_from_phi(phi)
+    e_shift = energy_from_phi(phi, shifted=True)
 
     if args.format == "json":
         payload = {
@@ -312,12 +315,14 @@ def _sweep_models(args: argparse.Namespace) -> list[ModelFamily]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    table = run_sweep(
-        SweepSpec(
-            models=_sweep_models(args),
-            phis=tuple(PhiAngle(v) for v in parse_range(args.phi_range)),
-            solvers=ALL_SOLVERS if args.solver == "all" else (args.solver,),
+    models = _sweep_models(args)
+    phis = tuple(PhiAngle(v) for v in parse_range(args.phi_range))
+    if len(models) * len(phis) > MAX_RANGE_POINTS:
+        raise ValueError(
+            f"sweep grid of {len(models)} models x {len(phis)} angles exceeds the limit of {MAX_RANGE_POINTS} points"
         )
+    table = run_sweep(
+        SweepSpec(models=models, phis=phis, solvers=ALL_SOLVERS if args.solver == "all" else (args.solver,))
     )
 
     if args.format == "csv":

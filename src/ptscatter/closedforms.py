@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .core import PT_PAIR, ULTRALOCAL, ModelFamily, PhiAngle, ScatteringAmplitudes
 from .errors import SingularCoupling
@@ -60,25 +59,9 @@ def _checked(value: complex | float, scale: float, what: str) -> complex | float
     return value
 
 
-@dataclass(frozen=True)
-class ClosedFormParams:
-    """Real Cayley-ratio parameters behind the delta-pair closed forms.
-
-    ``A`` drives both amplitudes at separation 1; ``alpha``/``beta`` are the
-    sum/difference parameters at separation 2; ``gamma`` is the difference
-    parameter at separation 3.  All are real for real coupling and phi away
-    from the singular denominators, which is what makes the probability sum
-    exactly 1.
-    """
-
-    A: float
-    alpha: float
-    beta: float
-    gamma: float
-
-
-# One function per real parameter, each checking only its own denominator;
-# the cf_* evaluators and closed_form_params share them.
+# One function per real parameter, each checking only its own denominator.
+# _param_gamma feeds no evaluator: it is the independent separation-3
+# difference parameter that the tests hold cf_m3 to.
 
 
 def _param_a(x: float, p: float) -> float:
@@ -101,14 +84,6 @@ def _param_gamma(x: float, p: float) -> float:
         _checked(1.0 + 2.0 * x * x * math.cos(p) * math.cos(3.0 * p), 1.0 + x * x, "1 + 2 x^2 cos(phi) cos(3 phi)")
     )
     return 2.0 * x * x * math.cos(p) * math.sin(3.0 * p) / den
-
-
-def closed_form_params(x: float, phi: PhiAngle) -> ClosedFormParams:
-    """Diagnostic view of the real parameters at coupling x and angle phi."""
-    p = phi.phi
-    return ClosedFormParams(
-        A=_param_a(x, p), alpha=_param_alpha(x, p), beta=_param_beta(x, p), gamma=_param_gamma(x, p)
-    )
 
 
 def cf_m1(x: float, phi: PhiAngle) -> ScatteringAmplitudes:

@@ -31,19 +31,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 PT_PAIR = "pt-pair"
 ULTRALOCAL = "ultralocal"
 CUSTOM = "custom"
+PHI_EDGE_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
 class PhiAngle:
-    """Plane-wave angle phi, strictly inside (0, pi).
+    """Plane-wave angle phi, strictly inside (0, pi) and PHI_EDGE_GUARD away from both ends.
 
     At the endpoints the two plane waves exp(+-i*m*phi) degenerate into one,
-    so they are rejected outright.
+    so angles at or near them are rejected outright.
     """
 
     phi: float
@@ -51,32 +50,21 @@ class PhiAngle:
     def __post_init__(self) -> None:
         if not (0.0 < self.phi < math.pi):
             raise ValueError(f"phi must lie strictly inside (0, pi), got {self.phi!r}")
+        if self.phi < PHI_EDGE_GUARD or self.phi > math.pi - PHI_EDGE_GUARD:
+            raise ValueError(f"phi={self.phi!r} is within {PHI_EDGE_GUARD} of the band edge; plane waves degenerate there")
 
 
-@dataclass(frozen=True)
-class LatticeConvention:
-    """Lattice stepsize and on-site convention of the kinetic term.
+def energy_from_phi(phi: PhiAngle, shifted: bool = False) -> float:
+    """Lattice energy (stepsize h = 1) corresponding to the angle phi.
 
-    ``diagonal_shift=False`` selects the zero-diagonal kinetic matrix, with
-    energies E = -2*cos(phi)/h^2 in (-2/h^2, 2/h^2).  ``diagonal_shift=True``
-    selects the shifted variant with 2/h^2 on the diagonal, giving
-    E = (2 - 2*cos(phi))/h^2 in the band (0, 4/h^2).  The two differ only by
-    a constant energy offset; the scattering rows are identical.
+    The default zero-diagonal kinetic term gives E = -2*cos(phi) in (-2, 2);
+    ``shifted=True`` selects the variant with 2 on the diagonal, giving
+    E = 2 - 2*cos(phi) in the band (0, 4).  The two differ only by a
+    constant energy offset; the scattering rows are identical.
     """
-
-    h: float = 1.0
-    diagonal_shift: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise ValueError(f"lattice stepsize h must be positive, got {self.h!r}")
-
-
-def energy_from_phi(phi: PhiAngle, conv: LatticeConvention = LatticeConvention()) -> float:
-    """Lattice energy corresponding to the angle phi under the given convention."""
-    if conv.diagonal_shift:
-        return (2.0 - 2.0 * math.cos(phi.phi)) / (conv.h * conv.h)
-    return -2.0 * math.cos(phi.phi) / (conv.h * conv.h)
+    if shifted:
+        return 2.0 - 2.0 * math.cos(phi.phi)
+    return -2.0 * math.cos(phi.phi)
 
 
 @dataclass(frozen=True)
@@ -111,10 +99,6 @@ class InteractionWindow:
             rows.setdefault(i, []).append((j, value))
         object.__setattr__(self, "_rows", {i: tuple(row) for i, row in rows.items()})
 
-    @property
-    def n_sites(self) -> int:
-        return self.hi - self.lo + 1
-
     def entry(self, i: int, j: int) -> complex:
         return self.entries.get((i, j), 0j)
 
@@ -127,13 +111,6 @@ class InteractionWindow:
 
     def is_tridiagonal(self) -> bool:
         return all(abs(i - j) <= 1 for i, j in self.entries)
-
-    def dense(self) -> np.ndarray:
-        """Dense (n_sites x n_sites) array of the block; index 0 is site lo."""
-        w = np.zeros((self.n_sites, self.n_sites), dtype=complex)
-        for (i, j), value in self.entries.items():
-            w[i - self.lo, j - self.lo] = value
-        return w
 
 
 def build_pt_delta_pair(m_sep: int, x: float) -> InteractionWindow:
@@ -173,6 +150,13 @@ def build_ultralocal(a: float) -> InteractionWindow:
     return InteractionWindow(lo=0, hi=1, entries={(0, 1): -a, (1, 0): a})
 
 
+def _finite_coupling(value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"coupling must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelFamily:
     """One model point, built by one of the three constructors below.
@@ -191,11 +175,11 @@ class ModelFamily:
     def pt_delta_pair(cls, m_sep: int, x: float) -> ModelFamily:
         if m_sep < 1:
             raise ValueError(f"separation must be a positive integer, got {m_sep!r}")
-        return cls(PT_PAIR, m_sep, float(x))
+        return cls(PT_PAIR, m_sep, _finite_coupling(x))
 
     @classmethod
     def ultralocal(cls, a: float) -> ModelFamily:
-        return cls(ULTRALOCAL, 0, float(a))
+        return cls(ULTRALOCAL, 0, _finite_coupling(a))
 
     @classmethod
     def custom_window(cls, window: InteractionWindow) -> ModelFamily:
@@ -243,34 +227,6 @@ class ScatteringAmplitudes:
     def defect(self) -> float:
         """prob_sum - 1 (the unitarity defect)."""
         return self.prob_sum - 1.0
-
-
-@dataclass(frozen=True)
-class WaveFunctionWindow:
-    """Wavefunction samples psi[m] for m in [lo_ext, hi_ext]."""
-
-    lo_ext: int
-    hi_ext: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size != self.hi_ext - self.lo_ext + 1:
-            raise ValueError(
-                f"need {self.hi_ext - self.lo_ext + 1} samples for [{self.lo_ext}, {self.hi_ext}], got shape {values.shape}"
-            )
-
-    def value(self, m: int) -> complex:
-        if not (self.lo_ext <= m <= self.hi_ext):
-            raise IndexError(f"site {m} outside stored window [{self.lo_ext}, {self.hi_ext}]")
-        return complex(self.values[m - self.lo_ext])
-
-
-def embed_symmetric(win: InteractionWindow) -> InteractionWindow:
-    """Embed the window in the symmetric index range [-N, N], N = max(|lo|, |hi|)."""
-    n = max(abs(win.lo), abs(win.hi))
-    return InteractionWindow(lo=-n, hi=n, entries=dict(win.entries))
 
 
 def pt_conjugate(win: InteractionWindow) -> InteractionWindow:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionWindow, PhiAngle, ScatteringAmplitudes, WaveFunctionWindow, plane_wave
+from .core import InteractionWindow, PhiAngle, ScatteringAmplitudes, plane_wave
 from .errors import NotTridiagonal, SingularSystem, ZeroHopping
 
 # Relative thresholds: double precision with windows of at most ~100 sites
@@ -34,7 +34,6 @@ from .errors import NotTridiagonal, SingularSystem, ZeroHopping
 PIVOT_RTOL = 1e-14
 RESIDUAL_RTOL = 1e-10
 HOPPING_RTOL = 1e-14
-PHI_EDGE_GUARD = 1e-8
 # The transfer recursion rescales psi by a power of two once a sample grows
 # beyond this, so strong barriers cannot overflow it.
 _RESCALE_ABOVE = 1e100
@@ -42,32 +41,14 @@ _RESCALE_ABOVE = 1e100
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Amplitudes plus the evidence that they solve the lattice equation."""
+    """Amplitudes plus the evidence that they solve the lattice equation.
 
-    amplitudes: ScatteringAmplitudes
-    wavefunction: WaveFunctionWindow
-    residual_max: float
-
-
-@dataclass(frozen=True)
-class MatchingSystem:
-    """Dense matching system A u = b with u = [R, psi[lo+1..hi-1], T].
-
-    ``lo`` and ``hi`` are the anchor sites where the asymptotic forms are
-    imposed; for a single-site window the right anchor is moved one site out
-    (adding a free row) so that R and T stay independent unknowns.
+    ``psi`` holds the wavefunction samples on [lo-2, hi+2] of the solved window.
     """
 
-    lo: int
-    hi: int
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-def _check_phi(phi: PhiAngle) -> float:
-    if phi.phi < PHI_EDGE_GUARD or phi.phi > math.pi - PHI_EDGE_GUARD:
-        raise ValueError(f"phi={phi.phi!r} is within {PHI_EDGE_GUARD} of the band edge; plane waves degenerate there")
-    return phi.phi
+    amplitudes: ScatteringAmplitudes
+    psi: np.ndarray
+    residual_max: float
 
 
 def hamiltonian_row(win: InteractionWindow, m: int, two_cos: float) -> dict[int, complex]:
@@ -141,9 +122,9 @@ def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> MatchingSystem:
-    """Assemble the matching rows for the window at the given angle."""
-    phi_val = _check_phi(phi)
+def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix A and right-hand side b of the matching system A u = b, u = [R, psi[lo+1..hi-1], T]."""
+    phi_val = phi.phi
     lo = win.lo
     hi = win.hi if win.hi > win.lo else win.lo + 1  # single site: free row keeps R, T independent
     n = hi - lo + 1
@@ -160,44 +141,44 @@ def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> MatchingSyst
                 a[r, n - 1] += coeff * plane_wave(j, phi_val)
             else:
                 a[r, j - lo] += coeff
-    return MatchingSystem(lo=lo, hi=hi, matrix=a, rhs=b)
+    return a, b
 
 
 def _assemble_report(
     win: InteractionWindow,
     phi: PhiAngle,
     amplitudes: ScatteringAmplitudes,
-    values: np.ndarray,
+    psi: np.ndarray,
 ) -> SolveReport:
-    wavefunction = WaveFunctionWindow(lo_ext=win.lo - 2, hi_ext=win.hi + 2, values=values)
-    residual_max = _max_row_residual(win, phi, wavefunction)
+    residual_max = residual(win, phi, psi)
     tol = RESIDUAL_RTOL * (1.0 + win.max_abs_entry())
     if not residual_max <= tol:
         raise SingularSystem(f"row residual {residual_max:.3e} exceeds {tol:.3e}; system too ill-conditioned to trust")
-    return SolveReport(amplitudes=amplitudes, wavefunction=wavefunction, residual_max=residual_max)
+    return SolveReport(amplitudes=amplitudes, psi=psi, residual_max=residual_max)
 
 
 def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     """Solve the dense matching system for R, T and the interior wavefunction."""
-    phi_val = _check_phi(phi)
+    phi_val = phi.phi
     bond = _severed_bond(win)
     if bond is not None:
         raise SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
 
-    system = build_matching_system(win, phi)
-    u = solve_complex_linear(system.matrix, system.rhs)
+    matrix, rhs = build_matching_system(win, phi)
+    u = solve_complex_linear(matrix, rhs)
     big_r, big_t = complex(u[0]), complex(u[-1])
 
     lo, hi = win.lo, win.hi
-    values = np.empty(hi + 2 - (lo - 2) + 1, dtype=complex)
+    hi_anchor = lo + rhs.size - 1
+    psi = np.empty(hi + 2 - (lo - 2) + 1, dtype=complex)
     for k, m in enumerate(range(lo - 2, hi + 3)):
         if m <= lo:
-            values[k] = plane_wave(m, phi_val) + big_r * plane_wave(-m, phi_val)
-        elif m < system.hi:
-            values[k] = u[m - lo]
+            psi[k] = plane_wave(m, phi_val) + big_r * plane_wave(-m, phi_val)
+        elif m < hi_anchor:
+            psi[k] = u[m - lo]
         else:
-            values[k] = big_t * plane_wave(m, phi_val)
-    return _assemble_report(win, phi, ScatteringAmplitudes(R=big_r, T=big_t), values)
+            psi[k] = big_t * plane_wave(m, phi_val)
+    return _assemble_report(win, phi, ScatteringAmplitudes(R=big_r, T=big_t), psi)
 
 
 def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
@@ -206,7 +187,7 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     Requires the total Hamiltonian to stay tridiagonal (window entries only
     at |i-j| <= 1) and every total sub-diagonal coupling to be nonzero.
     """
-    phi_val = _check_phi(phi)
+    phi_val = phi.phi
     if not win.is_tridiagonal():
         offender = next((i, j) for i, j in sorted(win.entries) if abs(i - j) > 1)
         raise NotTridiagonal(f"window entry {offender} lies beyond nearest neighbours")
@@ -247,28 +228,24 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     return _assemble_report(win, phi, amplitudes, psi)
 
 
-def residual(win: InteractionWindow, phi: PhiAngle, report: SolveReport) -> float:
+def residual(win: InteractionWindow, phi: PhiAngle, psi: np.ndarray) -> float:
     """Max row residual of the lattice equation over rows [lo-1, hi+1].
 
-    Uses the wavefunction stored in the report, which must cover
-    [lo-2, hi+2].  A row whose residual is NaN makes the result NaN, so it
+    ``psi`` holds the wavefunction on [lo-2, hi+2].  The samples are read as
+    Python complex numbers, so every product and sum is CPython complex
+    arithmetic.  A row whose residual is NaN makes the result NaN, so it
     fails every tolerance check.
     """
-    wf = report.wavefunction
-    if wf.lo_ext > win.lo - 2 or wf.hi_ext < win.hi + 2:
-        raise ValueError(
-            f"report wavefunction [{wf.lo_ext}, {wf.hi_ext}] does not cover [{win.lo - 2}, {win.hi + 2}]"
-        )
-    return _max_row_residual(win, phi, wf)
-
-
-def _max_row_residual(win: InteractionWindow, phi: PhiAngle, wf: WaveFunctionWindow) -> float:
+    base = win.lo - 2
+    if psi.shape != (win.hi + 3 - base,):
+        raise ValueError(f"psi must hold the {win.hi + 3 - base} samples on [{base}, {win.hi + 2}], got shape {psi.shape}")
+    samples = psi.tolist()
     two_cos = 2.0 * math.cos(phi.phi)
     worst = 0.0
     for m in range(win.lo - 1, win.hi + 2):
         total = 0j
         for j, coeff in hamiltonian_row(win, m, two_cos).items():
-            total += coeff * wf.value(j)
+            total += coeff * samples[j - base]
         row_residual = abs(total)
         if math.isnan(row_residual):
             return row_residual

@@ -55,6 +55,9 @@ class TestParseHelpers:
         # 1_000_001 points, one over the cap: rejected before the list is built
         with pytest.raises(ValueError, match="limit"):
             parse_range("0:1:1e-6")
+        # lo + k*step never moves past 1e300, so only the point count stops the grid
+        with pytest.raises(ValueError, match="limit"):
+            parse_range("1e300:1e300:1")
 
     def test_int_list(self):
         assert parse_int_list("1,2,3") == [1, 2, 3]
@@ -273,6 +276,11 @@ class TestSweepCommand:
     def test_missing_range_exits_one(self):
         assert main(["sweep", "--model", "pt-pair", "--phi-range", "1:1:1"]) == 1
 
+    def test_grid_over_point_limit_exits_one(self, capsys):
+        # 1001 couplings x 2901 angles: each axis is within the limit, the grid is not.
+        assert main(["sweep", "--model", "pt-pair", "--x-range", "0:1:0.001", "--phi-range", "0.1:3.0:0.001"]) == 1
+        assert "limit" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_closed_forms_suite_passes(self, capsys):
@@ -346,6 +354,21 @@ class TestCheckPtCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["check-pt", "--model", "custom", "--window", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", [["solve", "--phi", "1.0"], ["check-pt"]])
+@pytest.mark.parametrize(
+    "coupling", [["pt-pair", "--M", "1", "--x", "nan"], ["pt-pair", "--M", "1", "--x", "inf"],
+                 ["ultralocal", "--a", "nan"], ["ultralocal", "--a=-inf"]]
+)
+def test_non_finite_coupling_exits_one_without_warnings(command, coupling, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], "--model", *coupling, *command[1:]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "finite" in err and "RuntimeWarning" not in err
+    assert not caught
 
 
 class TestExitCodeContract:

@@ -17,10 +17,10 @@ from ptscatter import (
     cf_ultralocal,
     cf_ultralocal_prob_sum,
     closed_form_amplitudes,
-    closed_form_params,
     solve_matching,
     ultralocal_anomaly_u,
 )
+from ptscatter.closedforms import _param_a, _param_alpha, _param_beta, _param_gamma
 
 X_GRID = [float(x) for x in np.linspace(-0.9, 0.9, 19)]
 PHI_GRID = [PhiAngle(p) for p in np.linspace(0.1, math.pi - 0.1, 17)]
@@ -188,29 +188,30 @@ class TestUltralocalProbSum:
 
 
 class TestClosedFormParams:
+    # The real Cayley-ratio parameters behind the delta-pair closed forms.
+    PARAMS = (_param_a, _param_alpha, _param_beta, _param_gamma)
+
     def test_all_real_and_finite_on_grid(self):
         for x in X_GRID:
             for phi in PHI_GRID:
-                params = closed_form_params(x, phi)
-                for value in (params.A, params.alpha, params.beta, params.gamma):
+                for param in self.PARAMS:
+                    value = param(x, phi.phi)
                     assert isinstance(value, float) and math.isfinite(value)
 
     def test_params_reproduce_the_difference_ratios(self):
         # Cayley transform of beta is T-R at separation 2; of gamma, at separation 3.
         for x in (0.3, 0.7):
             for phi in PHI_GRID[::3]:
-                params = closed_form_params(x, phi)
                 m2 = cf_m2(x, phi)
                 m3 = cf_m3(x, phi)
                 cayley = lambda t: (1 - 1j * t) / (1 + 1j * t)
-                assert m2.T - m2.R == pytest.approx(cayley(params.beta), abs=1e-12)
-                assert m3.T - m3.R == pytest.approx(cayley(params.gamma), abs=1e-12)
+                assert m2.T - m2.R == pytest.approx(cayley(_param_beta(x, phi.phi)), abs=1e-12)
+                assert m3.T - m3.R == pytest.approx(cayley(_param_gamma(x, phi.phi)), abs=1e-12)
 
     def test_params_reproduce_m1_amplitudes(self):
         x, phi = 0.45, PhiAngle(0.8)
-        params = closed_form_params(x, phi)
         amps = cf_m1(x, phi)
-        assert amps.T == pytest.approx(1 / (1 + 1j * params.A), abs=1e-14)
+        assert amps.T == pytest.approx(1 / (1 + 1j * _param_a(x, phi.phi)), abs=1e-14)
 
 
 class TestDispatch:

@@ -1,4 +1,4 @@
-"""Domain types: angles, conventions, windows, model builders, PT checks."""
+"""Domain types: angles, energies, windows, model builders, PT checks."""
 
 import math
 
@@ -7,14 +7,11 @@ import pytest
 
 from ptscatter import (
     InteractionWindow,
-    LatticeConvention,
     ModelFamily,
     PhiAngle,
     ScatteringAmplitudes,
-    WaveFunctionWindow,
     build_pt_delta_pair,
     build_ultralocal,
-    embed_symmetric,
     energy_from_phi,
     first_pt_violation,
     is_pt_symmetric,
@@ -27,47 +24,29 @@ class TestPhiAngle:
         assert PhiAngle(1.0).phi == 1.0
         assert PhiAngle(3.14).phi == 3.14
 
-    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.3, 4.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.3, 4.0, math.nan, 1e-9, math.pi - 1e-9])
     def test_rejects_out_of_band(self, bad):
         with pytest.raises(ValueError):
             PhiAngle(bad)
 
 
-class TestLatticeConvention:
-    def test_defaults(self):
-        conv = LatticeConvention()
-        assert conv.h == 1.0 and conv.diagonal_shift is False
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_rejects_nonpositive_stepsize(self, bad):
-        with pytest.raises(ValueError):
-            LatticeConvention(h=bad)
-
-
 class TestEnergyFromPhi:
     def test_midband_shifted(self):
         # cos(pi/2) = 0
-        assert energy_from_phi(PhiAngle(math.pi / 2), LatticeConvention(diagonal_shift=True)) == pytest.approx(2.0)
-
-    def test_halved_stepsize(self):
-        value = energy_from_phi(PhiAngle(math.pi / 3), LatticeConvention(h=0.5, diagonal_shift=True))
-        assert value == pytest.approx(4.0, abs=1e-12)  # (2 - 1)/0.25
+        assert energy_from_phi(PhiAngle(math.pi / 2), shifted=True) == pytest.approx(2.0)
 
     def test_band_limits_shifted(self):
-        conv = LatticeConvention(diagonal_shift=True)
-        low = energy_from_phi(PhiAngle(1e-6), conv)
-        high = energy_from_phi(PhiAngle(math.pi - 1e-6), conv)
+        low = energy_from_phi(PhiAngle(1e-6), shifted=True)
+        high = energy_from_phi(PhiAngle(math.pi - 1e-6), shifted=True)
         assert 0.0 < low < 1e-11
         assert 4.0 - 1e-11 < high < 4.0
 
     def test_zero_diagonal_band(self):
-        conv = LatticeConvention()
-        assert energy_from_phi(PhiAngle(math.pi / 2), conv) == pytest.approx(0.0, abs=1e-15)
-        assert -2.0 < energy_from_phi(PhiAngle(0.01), conv) < 2.0
+        assert energy_from_phi(PhiAngle(math.pi / 2)) == pytest.approx(0.0, abs=1e-15)
+        assert -2.0 < energy_from_phi(PhiAngle(0.01)) < 2.0
 
     def test_strictly_monotone_in_phi(self):
-        conv = LatticeConvention(diagonal_shift=True)
-        values = [energy_from_phi(PhiAngle(p), conv) for p in np.linspace(1e-4, math.pi - 1e-4, 200)]
+        values = [energy_from_phi(PhiAngle(p), shifted=True) for p in np.linspace(1e-4, math.pi - 1e-4, 200)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -89,11 +68,6 @@ class TestInteractionWindow:
         padded = InteractionWindow(lo=0, hi=1, entries={(0, 1): 1.0, (1, 0): 0.0})
         bare = InteractionWindow(lo=0, hi=1, entries={(0, 1): 1.0})
         assert padded == bare
-
-    def test_dense_layout(self):
-        win = build_pt_delta_pair(1, 1.0)
-        expected = np.array([[0, -1, 0], [1, 0, 1], [0, -1, 0]], dtype=complex)
-        assert np.array_equal(win.dense(), expected)
 
     def test_tridiagonal_detection(self):
         assert build_pt_delta_pair(3, 0.2).is_tridiagonal()
@@ -154,7 +128,8 @@ class TestPTSymmetry:
     def test_invariant_under_zero_padding(self):
         win = build_ultralocal(0.4)
         padded = InteractionWindow(lo=-1, hi=1, entries={(0, 1): -0.4, (1, 0): 0.4, (-1, -1): 0.0})
-        assert is_pt_symmetric(win) == is_pt_symmetric(padded) == is_pt_symmetric(embed_symmetric(win))
+        embedded = InteractionWindow(lo=-1, hi=1, entries=win.entries)
+        assert is_pt_symmetric(win) == is_pt_symmetric(padded) == is_pt_symmetric(embedded)
 
     def test_first_violation_reports_lowest_pair(self):
         violation = first_pt_violation(build_ultralocal(0.4))
@@ -172,7 +147,7 @@ class TestPTSymmetry:
                 for _ in range(5)
             }
             win = InteractionWindow(lo=-3, hi=3, entries=entries)
-            assert pt_conjugate(pt_conjugate(win)) == embed_symmetric(win)
+            assert pt_conjugate(pt_conjugate(win)) == win
 
 
 class TestModelFamily:
@@ -197,6 +172,11 @@ class TestModelFamily:
         for m_sep in (0, -1):
             with pytest.raises(ValueError, match="separation"):
                 ModelFamily.pt_delta_pair(m_sep, 0.1)
+        for coupling in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ModelFamily.pt_delta_pair(1, coupling)
+            with pytest.raises(ValueError, match="finite"):
+                ModelFamily.ultralocal(coupling)
 
 
 class TestValueTypes:
@@ -206,13 +186,3 @@ class TestValueTypes:
         assert amps.prob_transmitted == pytest.approx(0.64)
         assert amps.prob_sum == pytest.approx(1.0)
         assert amps.defect == pytest.approx(0.0, abs=1e-15)
-
-    def test_wavefunction_window_length_check(self):
-        with pytest.raises(ValueError):
-            WaveFunctionWindow(lo_ext=0, hi_ext=2, values=np.zeros(2, dtype=complex))
-
-    def test_wavefunction_window_indexing(self):
-        wf = WaveFunctionWindow(lo_ext=-1, hi_ext=1, values=np.array([1.0, 2.0, 3.0]))
-        assert wf.value(-1) == 1.0 and wf.value(1) == 3.0
-        with pytest.raises(IndexError):
-            wf.value(2)

@@ -14,6 +14,7 @@ from ptscatter.cli import main
 
 DATA = Path(__file__).parent / "data"
 WINDOW = str(DATA / "custom_window.json")
+BARRIER = str(DATA / "barrier_window.json")
 
 # (golden file name, argv)
 CASES = (
@@ -48,6 +49,16 @@ CASES = (
         "pt_pair_sorted.csv",
         ["sweep", "--model", "pt-pair", "--M-list", "3,1,1", "--x-range=-0.5:0.5:0.5", "--phi-range", "0.7:2.1:1.4",
          "--solver", "closed-form"],
+    ),
+    (
+        "barrier_all.json",
+        ["sweep", "--model", "custom", "--window", BARRIER, "--phi-range", "0.3:2.5:1.1", "--solver", "all",
+         "--format", "json"],
+    ),
+    (
+        "pt_pair_m8.json",
+        ["sweep", "--model", "pt-pair", "--M-list", "8", "--x-range", "0.3:0.6:0.3", "--phi-range", "0.4:2.8:0.6",
+         "--solver", "all", "--format", "json"],
     ),
 )
 

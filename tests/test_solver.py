@@ -3,7 +3,6 @@
 import cmath
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from ptscatter import (
     NotTridiagonal,
     PhiAngle,
     SingularSystem,
-    WaveFunctionWindow,
     ZeroHopping,
     build_matching_system,
     build_pt_delta_pair,
@@ -245,21 +243,22 @@ class TestSolveComplexLinear:
 
 
 class TestMatchingSystemStructure:
+    # One row and one unknown per site of [lo, hi]: R at lo, T at hi.
     def test_anchors_and_dimension_m1(self):
-        system = build_matching_system(build_pt_delta_pair(1, 0.5), PhiAngle(1.0))
-        assert (system.lo, system.hi) == (-1, 1)
-        assert system.matrix.shape == (3, 3)
-        assert system.rhs.shape == (3,)
+        matrix, rhs = build_matching_system(build_pt_delta_pair(1, 0.5), PhiAngle(1.0))
+        assert matrix.shape == (3, 3)
+        assert rhs.shape == (3,)
 
     def test_dimension_m2(self):
-        system = build_matching_system(build_pt_delta_pair(2, 0.5), PhiAngle(1.0))
-        assert (system.lo, system.hi) == (-2, 2)
-        assert system.matrix.shape == (5, 5)
+        matrix, rhs = build_matching_system(build_pt_delta_pair(2, 0.5), PhiAngle(1.0))
+        assert matrix.shape == (5, 5)
+        assert rhs.shape == (5,)
 
     def test_single_site_window_gets_free_row(self):
-        system = build_matching_system(InteractionWindow(lo=0, hi=0), PhiAngle(1.0))
-        assert (system.lo, system.hi) == (0, 1)
-        assert system.matrix.shape == (2, 2)
+        # The right anchor moves to lo + 1, so R and T stay independent unknowns.
+        matrix, rhs = build_matching_system(InteractionWindow(lo=0, hi=0), PhiAngle(1.0))
+        assert matrix.shape == (2, 2)
+        assert rhs.shape == (2,)
 
 
 class TestSolveReport:
@@ -267,21 +266,21 @@ class TestSolveReport:
         win = build_pt_delta_pair(2, 0.4)
         phi = PhiAngle(1.1)
         report = solve_matching(win, phi)
-        wf = report.wavefunction
-        assert (wf.lo_ext, wf.hi_ext) == (win.lo - 2, win.hi + 2)
+        psi, base = report.psi, win.lo - 2
+        assert psi.shape == (win.hi + 2 - base + 1,)
         amps = report.amplitudes
         for m in range(win.lo - 2, win.lo + 1):
             expected = cmath.exp(1j * m * phi.phi) + amps.R * cmath.exp(-1j * m * phi.phi)
-            assert wf.value(m) == pytest.approx(expected, abs=1e-12)
+            assert psi[m - base] == pytest.approx(expected, abs=1e-12)
         for m in range(win.hi, win.hi + 3):
-            assert wf.value(m) == pytest.approx(amps.T * cmath.exp(1j * m * phi.phi), abs=1e-12)
+            assert psi[m - base] == pytest.approx(amps.T * cmath.exp(1j * m * phi.phi), abs=1e-12)
 
     def test_transfer_wavefunction_matches_matching(self):
         win = build_pt_delta_pair(2, 0.4)
         phi = PhiAngle(1.1)
-        wm = solve_matching(win, phi).wavefunction
-        wt = solve_transfer_matrix(win, phi).wavefunction
-        assert np.allclose(wm.values, wt.values, atol=1e-10)
+        wm = solve_matching(win, phi).psi
+        wt = solve_transfer_matrix(win, phi).psi
+        assert np.allclose(wm, wt, atol=1e-10)
 
 
 class TestResidual:
@@ -289,7 +288,7 @@ class TestResidual:
         win = build_pt_delta_pair(2, 0.6)
         phi = PhiAngle(0.9)
         report = solve_matching(win, phi)
-        assert residual(win, phi, report) <= 1e-10
+        assert residual(win, phi, report.psi) <= 1e-10
 
     def test_free_plane_wave_is_machine_exact(self):
         report = solve_matching(InteractionWindow(lo=0, hi=0), PhiAngle(1.0))
@@ -299,28 +298,25 @@ class TestResidual:
         win = build_pt_delta_pair(1, 0.5)
         phi = PhiAngle(1.0)
         report = solve_matching(win, phi)
-        perturbed = report.wavefunction.values.copy()
+        perturbed = report.psi.copy()
         for k, m in enumerate(range(win.lo - 2, win.hi + 3)):
             if m >= win.hi:
                 perturbed[k] += 1e-3 * cmath.exp(1j * m * phi.phi)
-        bad = replace(
-            report,
-            wavefunction=WaveFunctionWindow(win.lo - 2, win.hi + 2, perturbed),
-        )
-        assert residual(win, phi, bad) >= 1e-4
+        assert residual(win, phi, perturbed) >= 1e-4
 
     def test_nan_sample_fails_the_gate(self):
         win = build_pt_delta_pair(1, 0.5)
         phi = PhiAngle(1.0)
         report = solve_matching(win, phi)
-        values = report.wavefunction.values.copy()
+        values = report.psi.copy()
         values[0 - (win.lo - 2)] = complex(math.nan, 0.0)  # site 0, inside the window
-        bad = replace(report, wavefunction=WaveFunctionWindow(win.lo - 2, win.hi + 2, values))
-        assert not residual(win, phi, bad) <= 1e-10
+        assert not residual(win, phi, values) <= 1e-10
 
     def test_rejects_undersized_wavefunction(self):
         small_win = build_pt_delta_pair(1, 0.3)
         report = solve_matching(small_win, PhiAngle(1.0))
         wide_win = build_pt_delta_pair(2, 0.3)
         with pytest.raises(ValueError):
-            residual(wide_win, PhiAngle(1.0), report)
+            residual(wide_win, PhiAngle(1.0), report.psi)
+        with pytest.raises(ValueError):
+            residual(small_win, PhiAngle(1.0), solve_matching(wide_win, PhiAngle(1.0)).psi)
