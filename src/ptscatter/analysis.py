@@ -26,7 +26,7 @@ from ._version import __version__
 from .closedforms import closed_form_amplitudes
 from .core import PT_PAIR, InteractionWindow, ModelFamily, PhiAngle, ScatteringAmplitudes, energy_from_phi
 from .errors import SingularSystem, SolverError
-from .solver import PIVOT_RTOL, RESIDUAL_RTOL, solve_matching, solve_transfer_matrix
+from .solver import PIVOT_RTOL, RESIDUAL_RTOL, solve_matching_angles, solve_transfer_matrix
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
@@ -124,14 +124,16 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for model in spec.models:
         win = model.window()
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
+        matching = solve_matching_angles(win, phis)
         for phi in phis:
             for tag in solvers:
                 try:
                     if tag == SOLVER_CLOSED_FORM:
                         amplitudes, residual = closed_form_amplitudes(model, phi), 0.0
                     else:
-                        solve = solve_matching if tag == SOLVER_MATCHING else solve_transfer_matrix
-                        report = solve(win, phi)
+                        report = next(matching) if tag == SOLVER_MATCHING else solve_transfer_matrix(win, phi)
+                        if isinstance(report, SolverError):
+                            raise report
                         amplitudes, residual = report.amplitudes, report.residual_max
                 except (SolverError, ValueError) as exc:
                     errors.append(
@@ -258,9 +260,10 @@ def cross_validate(
     points = 0
     for model in models:
         win = model.window()
-        for phi in phis:
+        for phi, rm in zip(phis, solve_matching_angles(win, phis)):
             try:
-                rm = solve_matching(win, phi)
+                if isinstance(rm, SolverError):
+                    raise rm
                 rt = solve_transfer_matrix(win, phi)
             except SingularSystem:
                 if (model.m_sep, model.coupling) not in singular:
@@ -330,9 +333,11 @@ def transfer_matching_agreement(
         width = int(rng.integers(2, 16))
         lo = int(rng.integers(-10, 11 - width))
         win = random_tridiagonal_window(rng, width, lo)
-        for _ in range(angles_per_window):
-            phi = PhiAngle(float(rng.uniform(0.05, math.pi - 0.05)))
-            rm = solve_matching(win, phi).amplitudes
+        phis = [PhiAngle(float(rng.uniform(0.05, math.pi - 0.05))) for _ in range(angles_per_window)]
+        for phi, report in zip(phis, solve_matching_angles(win, phis)):
+            if isinstance(report, SolverError):
+                raise report
+            rm = report.amplitudes
             rt = solve_transfer_matrix(win, phi).amplitudes
             worst_r = max(worst_r, abs(rm.R - rt.R))
             worst_t = max(worst_t, abs(rm.T - rt.T))

@@ -3,8 +3,10 @@ Two independent numerical solvers for the scattering amplitudes R, T.
 
 ``solve_matching`` writes one Schroedinger row per window site, substitutes
 the asymptotic plane-wave forms (anchored exactly at the window edges lo and
-hi), and solves the resulting dense complex system for the unknown vector
-[R, psi[lo+1], ..., psi[hi-1], T].  It works for any finite window.
+hi), and solves the resulting complex system for the unknown vector
+[R, psi[lo+1], ..., psi[hi-1], T].  It works for any finite window.  The
+system is banded by the window's reach, and ``solve_matching_angles``
+eliminates the systems of many angles of one window together.
 
 ``solve_transfer_matrix`` back-substitutes through the rows of a tridiagonal
 total Hamiltonian: starting from a provisional transmitted wave psi[m] =
@@ -21,13 +23,15 @@ RESIDUAL_RTOL * (1 + max |W|) before the solve is declared successful.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import InteractionWindow, PhiAngle, ScatteringAmplitudes, plane_wave
-from .errors import NotTridiagonal, SingularSystem, ZeroHopping
+from .errors import NotTridiagonal, SingularSystem, SolverError, ZeroHopping
 
 # Relative thresholds: double precision with windows of at most ~100 sites
 # leaves 3-4 guard digits below the 1e-10 success residual.
@@ -37,6 +41,9 @@ HOPPING_RTOL = 1e-14
 # The transfer recursion rescales psi by a power of two once a sample grows
 # beyond this, so strong barriers cannot overflow it.
 _RESCALE_ABOVE = 1e100
+# Angles of one window are eliminated together in chunks whose working
+# arrays stay near this many bytes.
+_STACK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,9 @@ def _bond_vanishes(w: complex) -> bool:
 def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = b by Gaussian elimination with scaled partial pivoting.
 
-    Raises SingularSystem when the best available pivot falls below
-    PIVOT_RTOL of its row scale.
+    The elimination stays inside the band that holds the nonzero entries of
+    A (see ``_solve_stack``).  Raises SingularSystem when the best available
+    pivot falls below PIVOT_RTOL of its row scale.
     """
     a = np.array(matrix, dtype=complex)
     b = np.array(rhs, dtype=complex)
@@ -96,30 +104,101 @@ def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("empty system")
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} does not match rhs length {n}")
-    scale = np.max(np.abs(a), axis=1)
-    if np.min(scale) == 0.0:
-        raise SingularSystem("matching matrix has an identically zero row")
+    rows, cols = np.nonzero(a)
+    lower = int(np.max(rows - cols, initial=0))
+    upper = int(np.max(cols - rows, initial=0))
+    x, failures = _solve_stack([(a, b)], 1, n, lower, upper)
+    if failures:
+        raise failures[0]
+    return x[0]
 
-    for k in range(n):
-        rel = np.abs(a[k:, k]) / scale[k:]
-        p = int(np.argmax(rel)) + k
-        if rel[p - k] < PIVOT_RTOL:
-            raise SingularSystem(
-                f"pivot magnitude {abs(a[p, k]):.3e} below {PIVOT_RTOL:g} of row scale in column {k}"
+
+def _solve_stack(
+    systems: Iterable[tuple[np.ndarray, np.ndarray]], count: int, n: int, lower: int, upper: int
+) -> tuple[np.ndarray, dict[int, SingularSystem]]:
+    """Solve ``count`` systems A x = b of size n whose nonzeros all lie in one band.
+
+    Every entry (r, c) outside -lower <= c - r <= upper must be zero in every
+    A.  The band of each matrix is copied out as it arrives, and row r keeps
+    columns r-lower .. r+lower+upper, room for the fill that row exchanges
+    bring in.  Column k searches its pivot in rows k .. k+lower only and
+    updates rows k+1 .. k+lower, columns k+1 .. k+lower+upper; the full
+    elimination only adds zeros elsewhere, so every stored entry gets the
+    same bits.  Back-substitution keeps each inner product at full row
+    length, zeros included: a product shortened to the band sums in another
+    order and changes the last bits.
+
+    Returns the solutions, shape (count, n), and {p: SingularSystem} for the
+    systems that failed, with the message of the first check that fails.  A
+    failed system is carried to the end with its warnings silenced; its
+    solution row means nothing.
+    """
+    width = 2 * lower + upper + 1
+    band = np.zeros((count, n, width), dtype=complex)
+    b = np.empty((count, n), dtype=complex)
+    rows, cols, slots = _band_layout(n, lower, upper)
+    flat = band.reshape(count, n * width)
+    for p, (matrix, rhs) in enumerate(systems):
+        flat[p, slots] = matrix[rows, cols]
+        b[p] = rhs
+    # a[p, r, c] is entry (r, c) of system p wherever row r stores column c.
+    step = band.strides[2]
+    a = np.ndarray((count, n, n), complex, band, lower * step, (band.strides[0], band.strides[1] - step, step))
+    scale = np.abs(band).max(axis=2)
+    zero_row = scale.min(axis=1) == 0.0
+
+    every = np.arange(count)
+    # A system that fails a check still runs to the end, so its 0/0 must not
+    # warn; its solution is dropped.
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            row_end = min(k + lower + 1, n)
+            col_end = min(k + lower + upper + 1, n)
+            pivot = (np.abs(a[:, k:row_end, k]) / scale[:, k:row_end]).argmax(axis=1)
+            if np.count_nonzero(pivot):
+                for block in (a[:, k:row_end, k:col_end], b[:, k:row_end], scale[:, k:row_end]):
+                    chosen = block[every, pivot]
+                    block[every, pivot] = block[:, 0]
+                    block[:, 0] = chosen
+            if k + 1 < row_end:
+                mult = a[:, k + 1 : row_end, k] / a[:, k : k + 1, k]
+                a[:, k + 1 : row_end, k + 1 : col_end] -= mult[:, :, None] * a[:, k : k + 1, k + 1 : col_end]
+                b[:, k + 1 : row_end] -= mult * b[:, k : k + 1]
+
+        x = np.zeros((count, n), dtype=complex)
+        row = np.zeros((count, n), dtype=complex)
+        for k in range(n - 1, -1, -1):
+            col_end = min(k + lower + upper + 1, n)
+            row[:, k + 1 : col_end] = a[:, k, k + 1 : col_end]
+            if col_end < n:
+                row[:, col_end] = 0.0
+            dot = np.matmul(row[:, None, k + 1 :], x[:, k + 1 :, None])[:, 0, 0]
+            x[:, k] = (b[:, k] - dot) / a[:, k, k]
+
+        # Row k is final once column k is eliminated, so the diagonal holds
+        # every chosen pivot and scale its row scale.
+        small = np.abs(band[:, :, lower]) / scale < PIVOT_RTOL
+    failures: dict[int, SingularSystem] = {}
+    for p in (zero_row | small.any(axis=1)).nonzero()[0].tolist():
+        if zero_row[p]:
+            failures[p] = SingularSystem("matching matrix has an identically zero row")
+        else:
+            k = int(small[p].argmax())
+            failures[p] = SingularSystem(
+                f"pivot magnitude {abs(a[p, k, k]):.3e} below {PIVOT_RTOL:g} of row scale in column {k}"
             )
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        if k + 1 < n:
-            mult = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
-            b[k + 1 :] -= mult * b[k]
+    return x, failures
 
-    x = np.zeros(n, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - np.dot(a[k, k + 1 :], x[k + 1 :])) / a[k, k]
-    return x
+
+@functools.lru_cache(maxsize=32)
+def _band_layout(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the n-by-n entries with -lower <= c - r <= upper, and
+    where ``_solve_stack`` stores each: slot (c - r + lower) of row r."""
+    rows = np.arange(n)[:, None]
+    cols = rows + np.arange(-lower, upper + 1)
+    inside = (cols >= 0) & (cols < n)
+    rows, cols = np.broadcast_to(rows, cols.shape)[inside], cols[inside]
+    return rows, cols, rows * (2 * lower + upper + 1) + cols - rows + lower
 
 
 def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> tuple[np.ndarray, np.ndarray]:
@@ -158,18 +237,50 @@ def _assemble_report(
 
 
 def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
-    """Solve the dense matching system for R, T and the interior wavefunction."""
-    phi_val = phi.phi
+    """Solve the matching system for R, T and the interior wavefunction at one angle."""
+    report = next(solve_matching_angles(win, (phi,)))
+    if isinstance(report, SolverError):
+        raise report
+    return report
+
+
+def solve_matching_angles(win: InteractionWindow, phis: Sequence[PhiAngle]) -> Iterator[SolveReport | SolverError]:
+    """Matching solutions of one window at every angle, in the order given.
+
+    Yields, per angle, the report ``solve_matching(win, phi)`` returns or the
+    SolverError it raises, with the same bits and message.  All angles share
+    one band, the window's reach (at least 1), so they are eliminated
+    together in chunks that keep the working arrays within _STACK_BYTES.
+    """
     bond = _severed_bond(win)
     if bond is not None:
-        raise SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
+        for _ in phis:
+            yield SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
+        return
+    n = max(win.hi, win.lo + 1) - win.lo + 1  # a single site gets a free row, as in build_matching_system
+    reach = min(max(1, max((abs(i - j) for i, j in win.entries), default=0)), n - 1)
+    # Per angle: the stored band (3*reach + 1 complex per row), its magnitudes
+    # and update temporaries, then the rhs, solution and row buffer.
+    chunk = max(1, _STACK_BYTES // (16 * n * (2 * (3 * reach + 1) + 4)))
+    for start in range(0, len(phis), chunk):
+        part = phis[start : start + chunk]
+        solutions, failures = _solve_stack(
+            (build_matching_system(win, phi) for phi in part), len(part), n, reach, reach
+        )
+        for p, phi in enumerate(part):
+            try:
+                report = failures[p] if p in failures else _matching_report(win, phi, solutions[p])
+            except SolverError as exc:
+                report = exc
+            yield report
 
-    matrix, rhs = build_matching_system(win, phi)
-    u = solve_complex_linear(matrix, rhs)
+
+def _matching_report(win: InteractionWindow, phi: PhiAngle, u: np.ndarray) -> SolveReport:
+    """Report of the matching solution u = [R, psi[lo+1..hi-1], T]."""
+    phi_val = phi.phi
     big_r, big_t = complex(u[0]), complex(u[-1])
-
     lo, hi = win.lo, win.hi
-    hi_anchor = lo + rhs.size - 1
+    hi_anchor = lo + u.size - 1
     psi = np.empty(hi + 2 - (lo - 2) + 1, dtype=complex)
     for k, m in enumerate(range(lo - 2, hi + 3)):
         if m <= lo:
