@@ -26,12 +26,23 @@ from ._version import __version__
 from .closedforms import closed_form_amplitudes
 from .core import PT_PAIR, InteractionWindow, ModelFamily, PhiAngle, ScatteringAmplitudes, energy_from_phi
 from .errors import SingularSystem, SolverError
-from .solver import PIVOT_RTOL, RESIDUAL_RTOL, solve_matching_angles, solve_transfer_matrix
+from .solver import (
+    PIVOT_RTOL,
+    RESIDUAL_RTOL,
+    solve_matching_angles,
+    solve_matching_stack,
+    solve_transfer_angles,
+    solve_transfer_stack,
+)
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
 SOLVER_CLOSED_FORM = "closed-form"
 ALL_SOLVERS = (SOLVER_CLOSED_FORM, SOLVER_MATCHING, SOLVER_TRANSFER)
+# transfer_matching_agreement solves the points of one window width together
+# once this many are drawn: big enough that the per-row numpy calls act on
+# many points, small enough that the waiting windows stay a few hundred KB.
+_ORACLE_STACK = 256
 
 
 def default_coupling_grid() -> tuple[float, ...]:
@@ -121,18 +132,19 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
+    batches = {SOLVER_MATCHING: solve_matching_angles, SOLVER_TRANSFER: solve_transfer_angles}
     for model in spec.models:
         win = model.window()
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
-        matching = solve_matching_angles(win, phis)
+        reports = {tag: batches[tag](win, phis) for tag in solvers if tag in batches}
         for phi in phis:
             for tag in solvers:
                 try:
                     if tag == SOLVER_CLOSED_FORM:
                         amplitudes, residual = closed_form_amplitudes(model, phi), 0.0
                     else:
-                        report = next(matching) if tag == SOLVER_MATCHING else solve_transfer_matrix(win, phi)
-                        if isinstance(report, SolverError):
+                        report = next(reports[tag])
+                        if isinstance(report, Exception):
                             raise report
                         amplitudes, residual = report.amplitudes, report.residual_max
                 except (SolverError, ValueError) as exc:
@@ -260,11 +272,11 @@ def cross_validate(
     points = 0
     for model in models:
         win = model.window()
-        for phi, rm in zip(phis, solve_matching_angles(win, phis)):
+        for phi, rm, rt in zip(phis, solve_matching_angles(win, phis), solve_transfer_angles(win, phis)):
             try:
-                if isinstance(rm, SolverError):
-                    raise rm
-                rt = solve_transfer_matrix(win, phi)
+                for report in (rm, rt):
+                    if isinstance(report, Exception):
+                        raise report
             except SingularSystem:
                 if (model.m_sep, model.coupling) not in singular:
                     singular.append((model.m_sep, model.coupling))
@@ -329,18 +341,39 @@ def transfer_matching_agreement(
     """
     rng = np.random.default_rng(seed)
     worst_r = worst_t = 0.0
-    for _ in range(n_windows):
+    first_error: tuple[int, Exception] | None = None
+
+    def solve(stack: list[tuple[int, tuple[InteractionWindow, PhiAngle]]]) -> None:
+        nonlocal worst_r, worst_t, first_error
+        indices, points = zip(*stack)
+        for index, rm, rt in zip(indices, solve_matching_stack(points), solve_transfer_stack(points)):
+            error = next((report for report in (rm, rt) if isinstance(report, Exception)), None)
+            if error is not None:
+                if first_error is None or index < first_error[0]:
+                    first_error = index, error
+                continue
+            worst_r = max(worst_r, abs(rm.amplitudes.R - rt.amplitudes.R))
+            worst_t = max(worst_t, abs(rm.amplitudes.T - rt.amplitudes.T))
+
+    # Windows and angles are drawn in order; the points of one width are
+    # solved as one stack once _ORACLE_STACK of them are waiting, and the
+    # rest at the end.  The worst deltas do not depend on the order the
+    # points are solved in, and the error raised is the one the first
+    # failing point in draw order gives.
+    pending: dict[int, list[tuple[int, tuple[InteractionWindow, PhiAngle]]]] = {}  # width -> (draw index, point)
+    for w in range(n_windows):
         width = int(rng.integers(2, 16))
         lo = int(rng.integers(-10, 11 - width))
         win = random_tridiagonal_window(rng, width, lo)
-        phis = [PhiAngle(float(rng.uniform(0.05, math.pi - 0.05))) for _ in range(angles_per_window)]
-        for phi, report in zip(phis, solve_matching_angles(win, phis)):
-            if isinstance(report, SolverError):
-                raise report
-            rm = report.amplitudes
-            rt = solve_transfer_matrix(win, phi).amplitudes
-            worst_r = max(worst_r, abs(rm.R - rt.R))
-            worst_t = max(worst_t, abs(rm.T - rt.T))
+        stack = pending.setdefault(width, [])
+        for k in range(angles_per_window):
+            stack.append((w * angles_per_window + k, (win, PhiAngle(float(rng.uniform(0.05, math.pi - 0.05))))))
+        if len(stack) >= _ORACLE_STACK:
+            solve(pending.pop(width))
+    for stack in pending.values():
+        solve(stack)
+    if first_error is not None:
+        raise first_error[1]
     return OracleAgreement(
         passed=max(worst_r, worst_t) <= tol,
         tol=tol,

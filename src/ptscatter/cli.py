@@ -23,6 +23,7 @@ or as JSON carrying the same rows plus table metadata and per-point errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -379,7 +380,9 @@ def cmd_check_pt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by later ``main`` calls."""
     parser = _Parser(prog="ptscatter", description="Lattice scattering amplitudes for finite interaction windows")
     parser.add_argument("--version", action="version", version=f"ptscatter {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -5,8 +5,7 @@ Two independent numerical solvers for the scattering amplitudes R, T.
 the asymptotic plane-wave forms (anchored exactly at the window edges lo and
 hi), and solves the resulting complex system for the unknown vector
 [R, psi[lo+1], ..., psi[hi-1], T].  It works for any finite window.  The
-system is banded by the window's reach, and ``solve_matching_angles``
-eliminates the systems of many angles of one window together.
+system is banded by the window's reach.
 
 ``solve_transfer_matrix`` back-substitutes through the rows of a tridiagonal
 total Hamiltonian: starting from a provisional transmitted wave psi[m] =
@@ -14,11 +13,24 @@ exp(i*m*phi) on the right, each row is solved for the site to its left, and
 the two left-most free samples are matched against
 alpha*exp(i*m*phi) + beta*exp(-i*m*phi), giving T = 1/alpha, R = beta/alpha.
 
-The two routes share one row builder, so their sign conventions cannot
-drift; agreement between them is the primary correctness oracle for windows
-without a closed-form solution.  Every report carries the wavefunction on
-[lo-2, hi+2] and the maximum row residual over [lo-1, hi+1], checked against
-RESIDUAL_RTOL * (1 + max |W|) before the solve is declared successful.
+Both routes read their rows from one ``RowStencil`` per window, built from
+``hamiltonian_row``, so their sign conventions cannot drift; agreement
+between them is the primary correctness oracle for windows without a
+closed-form solution.  Every step runs on a stack of points (window, angle)
+whose windows share one stencil shape: the matching assembly and
+elimination, the transfer recursion (one Python step per row, acting on all
+points) and the residual.  The single-point functions are stacks of one.
+Every report carries the wavefunction on [lo-2, hi+2] and the maximum row
+residual over [lo-1, hi+1], checked against RESIDUAL_RTOL * (1 + max |W|)
+before the solve is declared successful.
+
+The stacks keep the bits of the per-point arithmetic they replaced, in which
+a product of two complex numbers was CPython's (or numpy's scalar) complex
+product and a quotient was numpy's complex division.  Numpy's complex
+array product may round differently, so every product here is formed from
+real and imaginary parts (``_cmul``); sums are taken in row order from zero
+and quotients stay numpy complex division, which is the same for arrays and
+scalars.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +53,12 @@ HOPPING_RTOL = 1e-14
 # The transfer recursion rescales psi by a power of two once a sample grows
 # beyond this, so strong barriers cannot overflow it.
 _RESCALE_ABOVE = 1e100
-# Angles of one window are eliminated together in chunks whose working
-# arrays stay near this many bytes.
+# A stack is solved in chunks whose working arrays stay near this many bytes.
 _STACK_BYTES = 4 << 20
+# Stencil slot of site m in row m, the slot that gets 2*cos(phi).
+_DIAG = 1
+
+Point = tuple[InteractionWindow, PhiAngle]
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,10 @@ class SolveReport:
     residual_max: float
 
 
+# What a stack yields per point: the report, or the exception a single solve raises.
+Outcome = SolveReport | SolverError | OverflowError
+
+
 def hamiltonian_row(win: InteractionWindow, m: int, two_cos: float) -> dict[int, complex]:
     """Coefficients {j: c} of Schroedinger row m: sum_j c_j psi[j] = 0.
 
@@ -68,6 +87,51 @@ def hamiltonian_row(win: InteractionWindow, m: int, two_cos: float) -> dict[int,
     for j, w in win.row(m):
         row[j] = row.get(j, 0j) + w
     return row
+
+
+class RowStencil(NamedTuple):
+    """Rows lo-1 .. hi+1 of one window's lattice equation, built once for all angles.
+
+    Row t is site m = lo - 1 + t.  ``shape[t]`` holds j - m for its terms in
+    ``hamiltonian_row`` order: m-1, m, m+1, then the window's other columns
+    of row m in entry order.  ``coeffs[t, k]`` is the coefficient
+    ``hamiltonian_row(win, m, 0.0)`` gives term k, zero-padded to the longest
+    row; slot _DIAG (column m) gets 2*cos(phi) added at each angle.  ``tol``
+    is the residual gate RESIDUAL_RTOL * (1 + max |W|).  Windows with equal
+    ``shape`` stack into one batch whatever their ``lo``.
+    """
+
+    lo: int
+    hi: int
+    shape: tuple[tuple[int, ...], ...]
+    coeffs: np.ndarray
+    tol: float
+
+
+def row_stencil(win: InteractionWindow) -> RowStencil:
+    sites = range(win.lo - 1, win.hi + 2)
+    rows = [hamiltonian_row(win, m, 0.0) for m in sites]
+    width = max(map(len, rows))
+    shape = tuple(tuple(j - m for j in row) for m, row in zip(sites, rows))
+    coeffs = np.array([[*row.values()] + [0j] * (width - len(row)) for row in rows])
+    return RowStencil(win.lo, win.hi, shape, coeffs, RESIDUAL_RTOL * (1.0 + win.max_abs_entry()))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(shape: tuple[tuple[int, ...], ...]) -> tuple[int, np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """Index arrays of one stencil shape, shared by every window of that shape.
+
+    Returns the reach (the largest |j - m| of any term, at least 1), the
+    index in psi on [lo-2, hi+2] of the site of term k of row t (padding
+    points at the row's own site), and, per term k >= 3, the rows that have
+    one.
+    """
+    width = max(map(len, shape))
+    offsets = np.array([row + (0,) * (width - len(row)) for row in shape])
+    terms = np.array([len(row) for row in shape])
+    long_range = tuple((k, np.flatnonzero(terms > k)) for k in range(3, width))
+    reach = max(abs(j) for row in shape for j in row)
+    return reach, offsets + np.arange(1, len(shape) + 1)[:, None], long_range
 
 
 def _severed_bond(win: InteractionWindow) -> tuple[int, int] | None:
@@ -94,7 +158,7 @@ def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = b by Gaussian elimination with scaled partial pivoting.
 
     The elimination stays inside the band that holds the nonzero entries of
-    A (see ``_solve_stack``).  Raises SingularSystem when the best available
+    A (see ``_eliminate``).  Raises SingularSystem when the best available
     pivot falls below PIVOT_RTOL of its row scale.
     """
     a = np.array(matrix, dtype=complex)
@@ -116,31 +180,51 @@ def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _solve_stack(
     systems: Iterable[tuple[np.ndarray, np.ndarray]], count: int, n: int, lower: int, upper: int
 ) -> tuple[np.ndarray, dict[int, SingularSystem]]:
-    """Solve ``count`` systems A x = b of size n whose nonzeros all lie in one band.
+    """``_eliminate`` for ``count`` dense systems A x = b of size n sharing one band.
 
-    Every entry (r, c) outside -lower <= c - r <= upper must be zero in every
-    A.  The band of each matrix is copied out as it arrives, and row r keeps
-    columns r-lower .. r+lower+upper, room for the fill that row exchanges
-    bring in.  Column k searches its pivot in rows k .. k+lower only and
-    updates rows k+1 .. k+lower, columns k+1 .. k+lower+upper; the full
-    elimination only adds zeros elsewhere, so every stored entry gets the
-    same bits.  Back-substitution keeps each inner product at full row
-    length, zeros included: a product shortened to the band sums in another
-    order and changes the last bits.
+    Every entry (r, c) outside -lower <= c - r <= upper must be zero in every A.
+    """
+    band = np.zeros((count, n, 2 * lower + upper + 1), dtype=complex)
+    b = np.empty((count, n), dtype=complex)
+    rows, cols, slots = _band_layout(n, lower, upper)
+    flat = band.reshape(count, -1)
+    for p, (matrix, rhs) in enumerate(systems):
+        flat[p, slots] = matrix[rows, cols]
+        b[p] = rhs
+    return _eliminate(band, b, lower, upper)
+
+
+@functools.lru_cache(maxsize=32)
+def _band_layout(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the n-by-n entries with -lower <= c - r <= upper, and
+    where the band store keeps each: slot (c - r + lower) of row r."""
+    rows = np.arange(n)[:, None]
+    cols = rows + np.arange(-lower, upper + 1)
+    inside = (cols >= 0) & (cols < n)
+    rows, cols = np.broadcast_to(rows, cols.shape)[inside], cols[inside]
+    return rows, cols, rows * (2 * lower + upper + 1) + cols - rows + lower
+
+
+def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple[np.ndarray, dict[int, SingularSystem]]:
+    """Solve the systems A x = b held in band storage, all at once.
+
+    ``band`` has shape (count, n, 2*lower + upper + 1): row r of system p
+    stores A[r, c] for c = r-lower .. r+lower+upper at slot c - r + lower,
+    the first ``lower`` slots being room for the fill that row exchanges
+    bring in.  Every entry outside -lower <= c - r <= upper must be zero.
+    Column k searches its pivot in rows k .. k+lower only and updates rows
+    k+1 .. k+lower, columns k+1 .. k+lower+upper; the full elimination only
+    adds zeros elsewhere, so every stored entry gets the same bits.
+    Back-substitution keeps each inner product at full row length, zeros
+    included: a product shortened to the band sums in another order and
+    changes the last bits.  ``band`` and ``b`` are overwritten.
 
     Returns the solutions, shape (count, n), and {p: SingularSystem} for the
     systems that failed, with the message of the first check that fails.  A
     failed system is carried to the end with its warnings silenced; its
     solution row means nothing.
     """
-    width = 2 * lower + upper + 1
-    band = np.zeros((count, n, width), dtype=complex)
-    b = np.empty((count, n), dtype=complex)
-    rows, cols, slots = _band_layout(n, lower, upper)
-    flat = band.reshape(count, n * width)
-    for p, (matrix, rhs) in enumerate(systems):
-        flat[p, slots] = matrix[rows, cols]
-        b[p] = rhs
+    count, n, _ = band.shape
     # a[p, r, c] is entry (r, c) of system p wherever row r stores column c.
     step = band.strides[2]
     a = np.ndarray((count, n, n), complex, band, lower * step, (band.strides[0], band.strides[1] - step, step))
@@ -190,106 +274,337 @@ def _solve_stack(
     return x, failures
 
 
-@functools.lru_cache(maxsize=32)
-def _band_layout(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and columns of the n-by-n entries with -lower <= c - r <= upper, and
-    where ``_solve_stack`` stores each: slot (c - r + lower) of row r."""
-    rows = np.arange(n)[:, None]
-    cols = rows + np.arange(-lower, upper + 1)
-    inside = (cols >= 0) & (cols < n)
-    rows, cols = np.broadcast_to(rows, cols.shape)[inside], cols[inside]
-    return rows, cols, rows * (2 * lower + upper + 1) + cols - rows + lower
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise with the roundings of CPython's complex product:
+    (ar*br - ai*bi) + i(ar*bi + ai*br), each product rounded on its own."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br - ai * bi
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = ar * bi + ai * br
+    return out
+
+
+def _coefficients(stencils: Sequence[RowStencil], phis: Sequence[float]) -> np.ndarray:
+    """Row coefficients of every point, shape (P, rows, terms), 2*cos(phi) added at slot _DIAG."""
+    coeffs = np.array([s.coeffs for s in stencils])
+    coeffs.real[:, :, _DIAG] += np.array([2.0 * math.cos(phi) for phi in phis])[:, None]
+    return coeffs
+
+
+def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequence[tuple[int, int]]) -> np.ndarray:
+    """plane_wave(sign * (lo + d), phi) for each point (rows) and each (sign, d) in ``sites`` (columns).
+
+    The waves come from ``cmath`` one at a time, so their bits do not depend
+    on numpy's vector kernels.
+    """
+    return np.array(
+        [[plane_wave(sign * (s.lo + d), phi) for sign, d in sites] for s, phi in zip(stencils, phis)], dtype=complex
+    )
+
+
+def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.ndarray) -> tuple[list[float], set[int]]:
+    """Max row residual over rows lo-1 .. hi+1 of each point's psi, and where it overflows.
+
+    ``psi`` has shape (P, rows + 2), samples on [lo-2, hi+2].  Each row sums
+    its products from zero in stencil order and takes the modulus with
+    hypot, as CPython's complex arithmetic on the samples does.  A NaN row
+    makes the result NaN, so it fails every tolerance check.  Scanning rows
+    in order, a row whose finite sum has a modulus beyond the float range
+    ends the scan as an overflow (CPython's ``abs`` raises OverflowError
+    there) unless a NaN row came first.
+    """
+    _, columns, long_range = _layout(shape)
+    rows = len(shape)
+    total = 0.0 + _cmul(coeffs[:, :, 0], psi[:, :rows])
+    total += _cmul(coeffs[:, :, 1], psi[:, 1 : rows + 1])
+    total += _cmul(coeffs[:, :, 2], psi[:, 2 : rows + 2])
+    for k, t in long_range:
+        total[:, t] += _cmul(coeffs[:, t, k], psi[:, columns[t, k]])
+    row_residual = np.hypot(total.real, total.imag)
+    worst = row_residual.max(axis=1)
+    overflow: set[int] = set()
+    if np.isfinite(worst).all():
+        return worst.tolist(), overflow
+    bad = np.flatnonzero(~np.isfinite(worst)).tolist()
+    worst = worst.tolist()
+    for p in bad:
+        for t, value in enumerate(row_residual[p].tolist()):
+            if math.isnan(value):
+                worst[p] = math.nan  # CPython's abs gives this NaN whatever the parts' NaN bits
+                break
+            if math.isinf(value) and math.isfinite(total[p, t].real) and math.isfinite(total[p, t].imag):
+                overflow.add(p)
+                break
+    return worst, overflow
+
+
+def _reports(
+    stencils: Sequence[RowStencil],
+    coeffs: np.ndarray,
+    psi: np.ndarray,
+    big_r: list[complex],
+    big_t: list[complex],
+    failures: dict[int, SolverError],
+) -> list[Outcome]:
+    """Per point: its failure, or the report once its residual passes the gate."""
+    worst, overflow = _residuals(stencils[0].shape, coeffs, psi)
+    outcomes: list = []
+    for p, stencil in enumerate(stencils):
+        res = worst[p]
+        if p in failures:
+            outcomes.append(failures[p])
+        elif p in overflow:
+            outcomes.append(OverflowError("absolute value too large"))
+        elif not res <= stencil.tol:
+            outcomes.append(
+                SingularSystem(
+                    f"row residual {res:.3e} exceeds {stencil.tol:.3e}; system too ill-conditioned to trust"
+                )
+            )
+        else:
+            amplitudes = ScatteringAmplitudes(R=big_r[p], T=big_t[p])
+            outcomes.append(SolveReport(amplitudes=amplitudes, psi=psi[p], residual_max=res))
+    return outcomes
+
+
+def _solve(
+    points: Sequence[Point],
+    blocker: Callable[[InteractionWindow], SolverError | None],
+    solve_chunk: Callable[[list[RowStencil], list[float]], list[Outcome]],
+) -> Iterator[Outcome]:
+    """Outcomes of ``points`` in the order given, solved in stacks of one stencil shape.
+
+    ``blocker(win)`` returns the SolverError every angle of a window fails
+    with before any arithmetic, or None.  Points whose windows share a
+    stencil shape are solved by ``solve_chunk(stencils, phis)`` in chunks
+    that keep the working arrays within _STACK_BYTES; each outcome is
+    yielded as soon as every point before it has one.
+    """
+    # Per window: its stencil, or its SolverError, and the group of its shape.
+    prepared: dict[int, tuple[RowStencil | SolverError, list[int] | None]] = {}
+    groups: dict[tuple, list[int]] = {}
+    ready: dict[int, Outcome] = {}
+    for i, (win, _) in enumerate(points):
+        if id(win) not in prepared:
+            stencil = blocker(win) or row_stencil(win)
+            members = None if isinstance(stencil, SolverError) else groups.setdefault(stencil.shape, [])
+            prepared[id(win)] = stencil, members
+        stencil, members = prepared[id(win)]
+        if members is None:
+            ready[i] = type(stencil)(*stencil.args)
+        else:
+            members.append(i)
+    done = 0
+    for shape, members in groups.items():
+        # Per point: the stored band (3*reach + 1 complex per row), its
+        # magnitudes and update temporaries, then the rhs, solution and row
+        # buffer of the matching elimination, which needs the most.
+        chunk = max(1, _STACK_BYTES // (16 * len(shape) * (2 * (3 * _layout(shape)[0] + 1) + 4)))
+        for start in range(0, len(members), chunk):
+            part = members[start : start + chunk]
+            stencils = [prepared[id(points[i][0])][0] for i in part]
+            with np.errstate(all="ignore"):
+                ready.update(zip(part, solve_chunk(stencils, [points[i][1].phi for i in part])))
+            while done in ready:
+                yield ready.pop(done)
+                done += 1
+    while done in ready:
+        yield ready.pop(done)
+        done += 1
+
+
+def _raise_or_return(outcome: Outcome) -> SolveReport:
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _matching_blocker(win: InteractionWindow) -> SolverError | None:
+    bond = _severed_bond(win)
+    if bond is None:
+        return None
+    return SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
+
+
+@functools.lru_cache(maxsize=64)
+def _matching_layout(shape: tuple[tuple[int, ...], ...]) -> tuple:
+    """Where the stencil terms of one shape land in the matching band store.
+
+    Matrix row r is lattice row m = lo + r, stencil row r + 1; a single site
+    gets a free row.  A column strictly inside (lo, lo+n-1) takes its
+    coefficient as it stands.  A column j at or left of lo adds
+    c * plane_wave(-j) to column 0 and subtracts c * plane_wave(j) from the
+    rhs; one at or right of the anchor lo+n-1 adds c * plane_wave(j) to
+    column n-1.
+
+    Returns n, the band reach, the (row, slot) cells and (stencil row, term)
+    coefficients of the interior terms, then for the edge terms in stencil
+    order their (stencil row, term) coefficients and ``_matching_waves``
+    columns, the (row, slot) anchor cells the first of them add to and the
+    rhs rows the rest subtract from.
+    """
+    n = max(len(shape) - 3, 1) + 1
+    reach = min(_layout(shape)[0], n - 1)
+    inner, to_a, to_b = [], [], []
+    for r in range(n):
+        for k, offset in enumerate(shape[r + 1]):
+            col = r + offset  # column j - lo
+            if col <= 0:
+                to_a.append((r + 1, k, col + 5, r, reach - r))
+                to_b.append((r + 1, k, col + 2, r))
+            elif col >= n - 1:
+                to_a.append((r + 1, k, col - n + 7, r, n - 1 - r + reach))
+            else:
+                inner.append((r, offset + reach, r + 1, k))
+    inner_row, inner_slot, inner_t, inner_k = np.array(inner, dtype=int).reshape(-1, 4).T
+    edge_t, edge_k, edge_wave = np.array([term[:3] for term in to_a + to_b]).T
+    a_row, a_slot = np.array([term[3:] for term in to_a]).T
+    b_row = np.array([term[3] for term in to_b])
+    return n, reach, (inner_row, inner_slot), (inner_t, inner_k), (edge_t, edge_k), edge_wave, (a_row, a_slot), b_row
+
+
+def _matching_waves(stencils: Sequence[RowStencil], phis: Sequence[float], n: int) -> np.ndarray:
+    """Columns: plane_wave(m) for m = lo-2 .. lo (0-2), plane_wave(-m) for the same m (3-5),
+    then plane_wave(m) for m = lo+n-1 (the right anchor) .. hi+2 (6 on)."""
+    width = stencils[0].hi - stencils[0].lo
+    sites = [(1, d) for d in (-2, -1, 0)] + [(-1, d) for d in (-2, -1, 0)]
+    return _waves(stencils, phis, sites + [(1, d) for d in range(n - 1, width + 3)])
+
+
+def _assemble(layout: tuple, coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Band store and rhs of the matching systems, unknowns u = [R, psi[lo+1..hi-1], T].
+
+    Each anchor cell sums its products from zero in stencil order, as the
+    per-entry ``+=`` of a dense build did.
+    """
+    n, reach, inner_cells, inner_terms, edge_terms, edge_waves, a_cells, b_rows = layout
+    every = slice(None)
+    band = np.zeros((len(coeffs), n, 3 * reach + 1), dtype=complex)
+    b = np.zeros((len(coeffs), n), dtype=complex)
+    band[(every, *inner_cells)] = coeffs[(every, *inner_terms)]
+    edge = _cmul(coeffs[(every, *edge_terms)], waves[:, edge_waves])
+    np.add.at(band, (every, *a_cells), edge[:, : a_cells[0].size])
+    np.subtract.at(b, (every, b_rows), edge[:, a_cells[0].size :])
+    return band, b
 
 
 def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> tuple[np.ndarray, np.ndarray]:
     """Matrix A and right-hand side b of the matching system A u = b, u = [R, psi[lo+1..hi-1], T]."""
-    phi_val = phi.phi
-    lo = win.lo
-    hi = win.hi if win.hi > win.lo else win.lo + 1  # single site: free row keeps R, T independent
-    n = hi - lo + 1
-    two_cos = 2.0 * math.cos(phi_val)
-
+    stencil = row_stencil(win)
+    layout = _matching_layout(stencil.shape)
+    coeffs = _coefficients([stencil], [phi.phi])
+    n, reach = layout[:2]
+    band, b = _assemble(layout, coeffs, _matching_waves([stencil], [phi.phi], n))
     a = np.zeros((n, n), dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    for r, m in enumerate(range(lo, hi + 1)):
-        for j, coeff in hamiltonian_row(win, m, two_cos).items():
-            if j <= lo:
-                a[r, 0] += coeff * plane_wave(-j, phi_val)
-                b[r] -= coeff * plane_wave(j, phi_val)
-            elif j >= hi:
-                a[r, n - 1] += coeff * plane_wave(j, phi_val)
-            else:
-                a[r, j - lo] += coeff
-    return a, b
+    rows, cols, slots = _band_layout(n, reach, reach)
+    a[rows, cols] = band[0].reshape(-1)[slots]
+    return a, b[0]
 
 
-def _assemble_report(
-    win: InteractionWindow,
-    phi: PhiAngle,
-    amplitudes: ScatteringAmplitudes,
-    psi: np.ndarray,
-) -> SolveReport:
-    residual_max = residual(win, phi, psi)
-    tol = RESIDUAL_RTOL * (1.0 + win.max_abs_entry())
-    if not residual_max <= tol:
-        raise SingularSystem(f"row residual {residual_max:.3e} exceeds {tol:.3e}; system too ill-conditioned to trust")
-    return SolveReport(amplitudes=amplitudes, psi=psi, residual_max=residual_max)
+def _matching_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> list[Outcome]:
+    layout = _matching_layout(stencils[0].shape)
+    n, reach = layout[:2]
+    coeffs = _coefficients(stencils, phis)
+    waves = _matching_waves(stencils, phis, n)
+    u, failures = _eliminate(*_assemble(layout, coeffs, waves), reach, reach)
+    # psi on [lo-2, hi+2]: the incident plus reflected wave up to lo, the
+    # interior unknowns, the transmitted wave from the right anchor on.
+    scattered = _cmul(u[:, [0, 0, 0] + [n - 1] * (waves.shape[1] - 6)], waves[:, 3:])
+    psi = np.empty((len(stencils), len(stencils[0].shape) + 2), dtype=complex)
+    psi[:, :3] = waves[:, :3] + scattered[:, :3]
+    psi[:, 3 : n + 1] = u[:, 1 : n - 1]
+    psi[:, n + 1 :] = scattered[:, 3:]
+    return _reports(stencils, coeffs, psi, u[:, 0].tolist(), u[:, -1].tolist(), failures)
 
 
 def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     """Solve the matching system for R, T and the interior wavefunction at one angle."""
-    report = next(solve_matching_angles(win, (phi,)))
-    if isinstance(report, SolverError):
-        raise report
-    return report
+    return _raise_or_return(next(solve_matching_stack([(win, phi)])))
 
 
-def solve_matching_angles(win: InteractionWindow, phis: Sequence[PhiAngle]) -> Iterator[SolveReport | SolverError]:
-    """Matching solutions of one window at every angle, in the order given.
+def solve_matching_angles(win: InteractionWindow, phis: Sequence[PhiAngle]) -> Iterator[Outcome]:
+    """``solve_matching_stack`` of one window at every angle, in the order given."""
+    return solve_matching_stack([(win, phi) for phi in phis])
 
-    Yields, per angle, the report ``solve_matching(win, phi)`` returns or the
-    SolverError it raises, with the same bits and message.  All angles share
-    one band, the window's reach (at least 1), so they are eliminated
-    together in chunks that keep the working arrays within _STACK_BYTES.
+
+def solve_matching_stack(points: Sequence[Point]) -> Iterator[Outcome]:
+    """Matching solutions of many (window, angle) points, in the order given.
+
+    Yields, per point, the report ``solve_matching(win, phi)`` returns or the
+    exception it raises, with the same bits and message.  Points whose
+    windows share a stencil shape share one band, the window's reach (at
+    least 1), and are assembled and eliminated together.
     """
-    bond = _severed_bond(win)
-    if bond is not None:
-        for _ in phis:
-            yield SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
-        return
-    n = max(win.hi, win.lo + 1) - win.lo + 1  # a single site gets a free row, as in build_matching_system
-    reach = min(max(1, max((abs(i - j) for i, j in win.entries), default=0)), n - 1)
-    # Per angle: the stored band (3*reach + 1 complex per row), its magnitudes
-    # and update temporaries, then the rhs, solution and row buffer.
-    chunk = max(1, _STACK_BYTES // (16 * n * (2 * (3 * reach + 1) + 4)))
-    for start in range(0, len(phis), chunk):
-        part = phis[start : start + chunk]
-        solutions, failures = _solve_stack(
-            (build_matching_system(win, phi) for phi in part), len(part), n, reach, reach
-        )
-        for p, phi in enumerate(part):
-            try:
-                report = failures[p] if p in failures else _matching_report(win, phi, solutions[p])
-            except SolverError as exc:
-                report = exc
-            yield report
+    return _solve(points, _matching_blocker, _matching_chunk)
 
 
-def _matching_report(win: InteractionWindow, phi: PhiAngle, u: np.ndarray) -> SolveReport:
-    """Report of the matching solution u = [R, psi[lo+1..hi-1], T]."""
-    phi_val = phi.phi
-    big_r, big_t = complex(u[0]), complex(u[-1])
-    lo, hi = win.lo, win.hi
-    hi_anchor = lo + u.size - 1
-    psi = np.empty(hi + 2 - (lo - 2) + 1, dtype=complex)
-    for k, m in enumerate(range(lo - 2, hi + 3)):
-        if m <= lo:
-            psi[k] = plane_wave(m, phi_val) + big_r * plane_wave(-m, phi_val)
-        elif m < hi_anchor:
-            psi[k] = u[m - lo]
-        else:
-            psi[k] = big_t * plane_wave(m, phi_val)
-    return _assemble_report(win, phi, ScatteringAmplitudes(R=big_r, T=big_t), psi)
+def _transfer_blocker(win: InteractionWindow) -> SolverError | None:
+    if not win.is_tridiagonal():
+        offender = next((i, j) for i, j in sorted(win.entries) if abs(i - j) > 1)
+        return NotTridiagonal(f"window entry {offender} lies beyond nearest neighbours")
+    for m in range(win.hi, win.lo - 2, -1):
+        if _bond_vanishes(win.entry(m, m - 1)):
+            return ZeroHopping(f"total coupling -1 + W[{m}, {m - 1}] vanishes")
+    return None
+
+
+def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi on [lo-2, hi+2] of every point from the transmitted wave at hi .. hi+2 (``waves``),
+    and the power of two psi was scaled down by, per point."""
+    count, rows = coeffs.shape[:2]
+    psi = np.zeros((count, rows + 2), dtype=complex)
+    psi[:, -3:] = waves
+    scale_exp = np.zeros(count, dtype=int)  # psi holds the wavefunction times 2**-scale_exp
+    # A product c*s is [cr, cr]*[sr, si] + [-ci, ci]*[si, sr] on [re, im]
+    # pairs: CPython's two rounded products per part, in three array
+    # operations.  Row t's pairs for its terms at sites m and m+1:
+    c = coeffs[:, :, 1:3].transpose(1, 0, 2)
+    same = np.empty(c.shape + (2,))
+    same[..., 0] = same[..., 1] = c.real
+    cross = np.empty(c.shape + (2,))
+    cross[..., 0] = -c.imag
+    cross[..., 1] = c.imag
+    c_sub = coeffs[:, :, 0].T.copy()
+    pairs = psi.view(float).reshape(count, rows + 2, 2)
+    # Row m = lo-1+t, from hi down to lo-1, gives psi[m-1] (index t) from psi[m] and psi[m+1].
+    for t in range(rows - 2, -1, -1):
+        s = pairs[:, t + 1 : t + 3]
+        terms = same[t] * s
+        terms += cross[t] * s[:, :, ::-1]
+        total = terms[:, 0] + 0.0
+        total += terms[:, 1]
+        value = np.negative(total).view(complex)[:, 0] / c_sub[t]
+        psi[:, t] = value
+        if not np.abs(value.view(float)).max() <= _RESCALE_ABOVE / 2:  # else no |value| exceeds _RESCALE_ABOVE
+            size = np.hypot(value.real, value.imag)
+            for p in np.flatnonzero(size > _RESCALE_ABOVE).tolist():
+                e = math.frexp(size[p])[1]
+                psi[p] *= 2.0**-e
+                scale_exp[p] += e
+    return psi, scale_exp
+
+
+def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> list[Outcome]:
+    width = len(stencils[0].shape) - 3  # hi - lo
+    coeffs = _coefficients(stencils, phis)
+    waves = _waves(stencils, phis, ((1, width), (1, width + 1), (1, width + 2), (-1, -2), (-1, -1), (1, -1), (1, -2)))
+    psi, scale_exp = _back_substitute(coeffs, waves[:, :3])
+
+    # Fit psi at the two left-most free sites to alpha*e^{i m phi} + beta*e^{-i m phi}.
+    fit = _cmul(psi[:, [1, 0, 0, 1]], waves[:, 3:])  # sites lo-1, lo-2, lo-2, lo-1
+    det = np.array([2j * math.sin(phi) for phi in phis])
+    alpha = (fit[:, 0] - fit[:, 1]) / det
+    beta = (fit[:, 2] - fit[:, 3]) / det
+    sample = np.maximum(np.hypot(psi[:, :2].real, psi[:, :2].imag).max(axis=1), 1.0)
+    vanishes = np.hypot(alpha.real, alpha.imag) <= PIVOT_RTOL * sample
+    message = "incident amplitude vanishes (spectral singularity)"
+    failures = {p: SingularSystem(message) for p in np.flatnonzero(vanishes).tolist()}
+
+    psi /= alpha[:, None]
+    inv = 1.0 / alpha
+    t_parts = zip(np.ldexp(inv.real, -scale_exp).tolist(), np.ldexp(inv.imag, -scale_exp).tolist())
+    return _reports(stencils, coeffs, psi, (beta / alpha).tolist(), [complex(*part) for part in t_parts], failures)
 
 
 def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
@@ -298,67 +613,39 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     Requires the total Hamiltonian to stay tridiagonal (window entries only
     at |i-j| <= 1) and every total sub-diagonal coupling to be nonzero.
     """
-    phi_val = phi.phi
-    if not win.is_tridiagonal():
-        offender = next((i, j) for i, j in sorted(win.entries) if abs(i - j) > 1)
-        raise NotTridiagonal(f"window entry {offender} lies beyond nearest neighbours")
+    return _raise_or_return(next(solve_transfer_stack([(win, phi)])))
 
-    lo, hi = win.lo, win.hi
-    two_cos = 2.0 * math.cos(phi_val)
 
-    psi = np.zeros(hi + 2 - (lo - 2) + 1, dtype=complex)
-    base = lo - 2
-    for m in range(hi, hi + 3):
-        psi[m - base] = plane_wave(m, phi_val)
-    scale_exp = 0  # psi holds the wavefunction times 2**-scale_exp
-    for m in range(hi, lo - 2, -1):
-        row = hamiltonian_row(win, m, two_cos)
-        c_sub = row.pop(m - 1)
-        if _bond_vanishes(win.entry(m, m - 1)):
-            raise ZeroHopping(f"total coupling -1 + W[{m}, {m - 1}] vanishes")
-        value = -sum(coeff * psi[j - base] for j, coeff in row.items()) / c_sub
-        psi[m - 1 - base] = value
-        if abs(value) > _RESCALE_ABOVE:
-            e = math.frexp(abs(value))[1]
-            psi *= 2.0**-e
-            scale_exp += e
+def solve_transfer_angles(win: InteractionWindow, phis: Sequence[PhiAngle]) -> Iterator[Outcome]:
+    """``solve_transfer_stack`` of one window at every angle, in the order given."""
+    return solve_transfer_stack([(win, phi) for phi in phis])
 
-    # Fit psi at the two left-most free sites to alpha*e^{i m phi} + beta*e^{-i m phi}.
-    a_site, b_site = lo - 1, lo - 2
-    det = 2j * math.sin(phi_val)
-    psi_a, psi_b = psi[a_site - base], psi[b_site - base]
-    alpha = (psi_a * plane_wave(-b_site, phi_val) - psi_b * plane_wave(-a_site, phi_val)) / det
-    beta = (psi_b * plane_wave(a_site, phi_val) - psi_a * plane_wave(b_site, phi_val)) / det
-    if abs(alpha) <= PIVOT_RTOL * max(abs(psi_a), abs(psi_b), 1.0):
-        raise SingularSystem("incident amplitude vanishes (spectral singularity)")
 
-    psi /= alpha
-    inv = 1.0 / alpha
-    t = complex(math.ldexp(inv.real, -scale_exp), math.ldexp(inv.imag, -scale_exp))
-    amplitudes = ScatteringAmplitudes(R=complex(beta / alpha), T=t)
-    return _assemble_report(win, phi, amplitudes, psi)
+def solve_transfer_stack(points: Sequence[Point]) -> Iterator[Outcome]:
+    """Transfer-recursion solutions of many (window, angle) points, in the order given.
+
+    Yields, per point, the report ``solve_transfer_matrix(win, phi)`` returns
+    or the exception it raises, with the same bits and message.  The
+    recursion takes one step per row for every point of a stencil shape at
+    once; psi is rescaled per point.
+    """
+    return _solve(points, _transfer_blocker, _transfer_chunk)
 
 
 def residual(win: InteractionWindow, phi: PhiAngle, psi: np.ndarray) -> float:
     """Max row residual of the lattice equation over rows [lo-1, hi+1].
 
-    ``psi`` holds the wavefunction on [lo-2, hi+2].  The samples are read as
-    Python complex numbers, so every product and sum is CPython complex
-    arithmetic.  A row whose residual is NaN makes the result NaN, so it
-    fails every tolerance check.
+    ``psi`` holds the wavefunction on [lo-2, hi+2].  The arithmetic is
+    CPython's complex arithmetic on the samples.  A row whose residual is NaN
+    makes the result NaN, so it fails every tolerance check.
     """
     base = win.lo - 2
     if psi.shape != (win.hi + 3 - base,):
         raise ValueError(f"psi must hold the {win.hi + 3 - base} samples on [{base}, {win.hi + 2}], got shape {psi.shape}")
-    samples = psi.tolist()
-    two_cos = 2.0 * math.cos(phi.phi)
-    worst = 0.0
-    for m in range(win.lo - 1, win.hi + 2):
-        total = 0j
-        for j, coeff in hamiltonian_row(win, m, two_cos).items():
-            total += coeff * samples[j - base]
-        row_residual = abs(total)
-        if math.isnan(row_residual):
-            return row_residual
-        worst = max(worst, row_residual)
-    return worst
+    stencil = row_stencil(win)
+    with np.errstate(all="ignore"):
+        coeffs = _coefficients([stencil], [phi.phi])
+        worst, overflow = _residuals(stencil.shape, coeffs, np.asarray(psi, dtype=complex)[None])
+    if overflow:
+        raise OverflowError("absolute value too large")
+    return worst[0]

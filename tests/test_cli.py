@@ -378,3 +378,46 @@ class TestExitCodeContract:
         singular = main(["solve", "--model", "pt-pair", "--M", "1", "--x", "1.0", "--phi", "1.0"])
         verify_fail = main(["verify", "--suite", "closed-forms", "--M-max", "1", "--tol", "1e-18"])
         assert (ok, bad_input, singular, verify_fail) == (0, 1, 2, 3)
+
+
+class TestParserCache:
+    COMMANDS = (
+        ["solve", "--model", "pt-pair", "--M", "2", "--x", "0.4", "--phi", "1.1"],
+        ["solve", "--model", "pt-pair", "--M", "2", "--phi", "1.1", "--no-such-flag"],
+        ["sweep", "--model", "pt-pair", "--M-list", "1,2", "--x-range=-1:1:0.5", "--phi-range", "0.5:2.5:0.5",
+         "--solver", "all"],
+        ["verify", "--suite", "closed-forms", "--M-max", "2"],
+        ["solve", "--model", "pt-pair", "--M", "3", "--x", "0.4", "--phi", "1.1", "--format", "json"],
+    )
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_one_parser_serves_every_command_like_a_fresh_one(self, capsys):
+        cli.build_parser.cache_clear()
+        shared = [self._run(argv, capsys) for argv in self.COMMANDS]
+        assert cli.build_parser.cache_info().currsize == 1
+        fresh = []
+        for argv in self.COMMANDS:
+            cli.build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0]
+        assert shared == fresh
+
+    def test_import_builds_no_parser(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import ptscatter.cli as c; print(c.build_parser.cache_info().currsize)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+        assert result.stdout.strip() == "0"
