@@ -75,13 +75,15 @@ class InteractionWindow:
     absent count as zero.  Entries equal to exactly zero are dropped on
     construction, so windows that differ only by explicit zero padding of the
     entry map compare equal.  The nonzero entries are also indexed by row, in
-    entry order, for ``row``.
+    entry order, for ``row``; ``_memo`` keeps what the solvers derive from the
+    entries (the row stencil), built on first use.
     """
 
     lo: int
     hi: int
     entries: Mapping[tuple[int, int], complex] = field(default_factory=dict)
     _rows: Mapping[int, tuple[tuple[int, complex], ...]] = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -98,6 +100,7 @@ class InteractionWindow:
         for (i, j), value in cleaned.items():
             rows.setdefault(i, []).append((j, value))
         object.__setattr__(self, "_rows", {i: tuple(row) for i, row in rows.items()})
+        object.__setattr__(self, "_memo", {})
 
     def entry(self, i: int, j: int) -> complex:
         return self.entries.get((i, j), 0j)

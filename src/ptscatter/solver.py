@@ -109,29 +109,42 @@ class RowStencil(NamedTuple):
 
 
 def row_stencil(win: InteractionWindow) -> RowStencil:
+    """The window's stencil, built on first use and kept with the (immutable) window."""
+    stencil = win._memo.get("stencil")
+    if stencil is None:
+        stencil = win._memo["stencil"] = _build_stencil(win)
+    return stencil
+
+
+def _build_stencil(win: InteractionWindow) -> RowStencil:
     sites = range(win.lo - 1, win.hi + 2)
     rows = [hamiltonian_row(win, m, 0.0) for m in sites]
     width = max(map(len, rows))
-    shape = tuple(tuple(j - m for j in row) for m, row in zip(sites, rows))
-    coeffs = np.array([[*row.values()] + [0j] * (width - len(row)) for row in rows])
+    shape = tuple([tuple([j - m for j in row]) for m, row in zip(sites, rows)])
+    padded = (value for row in rows for value in (*row.values(), *[0j] * (width - len(row))))
+    coeffs = np.fromiter(padded, complex, len(rows) * width).reshape(len(rows), width)
     return RowStencil(win.lo, win.hi, shape, coeffs, RESIDUAL_RTOL * (1.0 + win.max_abs_entry()))
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(shape: tuple[tuple[int, ...], ...]) -> tuple[int, np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-    """Index arrays of one stencil shape, shared by every window of that shape.
+def _base_sites(rows: int) -> np.ndarray:
+    """Index in psi on [lo-2, hi+2] of sites m-1, m, m+1 of each row m = lo-1+t."""
+    return np.arange(rows)[:, None] + np.arange(3)
 
-    Returns the reach (the largest |j - m| of any term, at least 1), the
-    index in psi on [lo-2, hi+2] of the site of term k of row t (padding
-    points at the row's own site), and, per term k >= 3, the rows that have
-    one.
+
+@functools.lru_cache(maxsize=64)
+def _layout(shape: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, np.ndarray, np.ndarray], ...]]:
+    """Reach and long-range terms of one stencil shape, shared by every window of that shape.
+
+    The reach is the largest |j - m| of any term, at least 1.  Per term
+    k >= 3 (a window column beyond m-1 .. m+1): the rows t that have one and
+    the index in psi on [lo-2, hi+2] of its site.
     """
-    width = max(map(len, shape))
-    offsets = np.array([row + (0,) * (width - len(row)) for row in shape])
-    terms = np.array([len(row) for row in shape])
-    long_range = tuple((k, np.flatnonzero(terms > k)) for k in range(3, width))
-    reach = max(abs(j) for row in shape for j in row)
-    return reach, offsets + np.arange(1, len(shape) + 1)[:, None], long_range
+    long_range = []
+    for k in range(3, max(map(len, shape))):
+        rows = [t for t, row in enumerate(shape) if len(row) > k]
+        long_range.append((k, np.array(rows), np.array([t + 1 + shape[t][k] for t in rows])))
+    return max(abs(j) for row in shape for j in row), tuple(long_range)
 
 
 def _severed_bond(win: InteractionWindow) -> tuple[int, int] | None:
@@ -142,10 +155,10 @@ def _severed_bond(win: InteractionWindow) -> tuple[int, int] | None:
     """
     if not win.is_tridiagonal():
         return None
-    for i in range(win.lo, win.hi):
-        for r, c in ((i + 1, i), (i, i + 1)):
-            if _bond_vanishes(win.entry(r, c)):
-                return r, c
+    # Bonds from lo up, (i+1, i) before (i, i+1); only a window entry can cancel a hop.
+    for _, (r, c) in sorted(((min(r, c), r < c), (r, c)) for r, c in win.entries if r != c):
+        if _bond_vanishes(win.entries[(r, c)]):
+            return r, c
     return None
 
 
@@ -314,13 +327,14 @@ def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.n
     ends the scan as an overflow (CPython's ``abs`` raises OverflowError
     there) unless a NaN row came first.
     """
-    _, columns, long_range = _layout(shape)
     rows = len(shape)
-    total = 0.0 + _cmul(coeffs[:, :, 0], psi[:, :rows])
-    total += _cmul(coeffs[:, :, 1], psi[:, 1 : rows + 1])
-    total += _cmul(coeffs[:, :, 2], psi[:, 2 : rows + 2])
-    for k, t in long_range:
-        total[:, t] += _cmul(coeffs[:, t, k], psi[:, columns[t, k]])
+    terms = _cmul(coeffs[:, :, :3], psi[:, _base_sites(rows)])  # columns m-1, m, m+1 of every row
+    total = 0.0 + terms[:, :, 0]
+    total += terms[:, :, 1]
+    total += terms[:, :, 2]
+    del terms
+    for k, t, sites in _layout(shape)[1]:
+        total[:, t] += _cmul(coeffs[:, t, k], psi[:, sites])
     row_residual = np.hypot(total.real, total.imag)
     worst = row_residual.max(axis=1)
     overflow: set[int] = set()
@@ -409,9 +423,7 @@ def _solve(
             while done in ready:
                 yield ready.pop(done)
                 done += 1
-    while done in ready:
-        yield ready.pop(done)
-        done += 1
+    yield from (ready.pop(i) for i in range(done, len(points)))
 
 
 def _raise_or_return(outcome: Outcome) -> SolveReport:
@@ -543,8 +555,9 @@ def _transfer_blocker(win: InteractionWindow) -> SolverError | None:
     if not win.is_tridiagonal():
         offender = next((i, j) for i, j in sorted(win.entries) if abs(i - j) > 1)
         return NotTridiagonal(f"window entry {offender} lies beyond nearest neighbours")
-    for m in range(win.hi, win.lo - 2, -1):
-        if _bond_vanishes(win.entry(m, m - 1)):
+    # Rows hi .. lo-1 are solved top down; only a window entry W[m, m-1] can cancel the hop.
+    for m in sorted((i for i, j in win.entries if i - j == 1), reverse=True):
+        if _bond_vanishes(win.entries[(m, m - 1)]):
             return ZeroHopping(f"total coupling -1 + W[{m}, {m - 1}] vanishes")
     return None
 
@@ -567,6 +580,17 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
     cross[..., 1] = c.imag
     c_sub = coeffs[:, :, 0].T.copy()
     pairs = psi.view(float).reshape(count, rows + 2, 2)
+    # |psi[m-1]| <= (|c_m| |psi[m]| + |c_m+1| |psi[m+1]|) / |c_sub|: until this
+    # bound, with room for rounding, passes _RESCALE_ABOVE / 2 no sample can
+    # need the rescale, so rows above ``check_below`` skip the test.
+    growth = ((np.abs(c[:, :, 0]) + np.abs(c[:, :, 1])) / np.abs(c_sub)).max(axis=1).tolist()
+    bound, check_below = 1.000001, -1  # plane waves have modulus 1
+    for t in range(rows - 2, -1, -1):
+        if not growth[t] <= 1.0:
+            bound *= growth[t] * 1.000001
+        if not bound <= _RESCALE_ABOVE / 2:
+            check_below = t
+            break
     # Row m = lo-1+t, from hi down to lo-1, gives psi[m-1] (index t) from psi[m] and psi[m+1].
     for t in range(rows - 2, -1, -1):
         s = pairs[:, t + 1 : t + 3]
@@ -576,7 +600,7 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
         total += terms[:, 1]
         value = np.negative(total).view(complex)[:, 0] / c_sub[t]
         psi[:, t] = value
-        if not np.abs(value.view(float)).max() <= _RESCALE_ABOVE / 2:  # else no |value| exceeds _RESCALE_ABOVE
+        if t <= check_below and not np.abs(value.view(float)).max() <= _RESCALE_ABOVE / 2:
             size = np.hypot(value.real, value.imag)
             for p in np.flatnonzero(size > _RESCALE_ABOVE).tolist():
                 e = math.frexp(size[p])[1]
@@ -593,18 +617,19 @@ def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> li
 
     # Fit psi at the two left-most free sites to alpha*e^{i m phi} + beta*e^{-i m phi}.
     fit = _cmul(psi[:, [1, 0, 0, 1]], waves[:, 3:])  # sites lo-1, lo-2, lo-2, lo-1
-    det = np.array([2j * math.sin(phi) for phi in phis])
-    alpha = (fit[:, 0] - fit[:, 1]) / det
-    beta = (fit[:, 2] - fit[:, 3]) / det
+    det = np.array([[2j * math.sin(phi)] for phi in phis])
+    alpha, beta = ((fit[:, ::2] - fit[:, 1::2]) / det).T
     sample = np.maximum(np.hypot(psi[:, :2].real, psi[:, :2].imag).max(axis=1), 1.0)
     vanishes = np.hypot(alpha.real, alpha.imag) <= PIVOT_RTOL * sample
     message = "incident amplitude vanishes (spectral singularity)"
     failures = {p: SingularSystem(message) for p in np.flatnonzero(vanishes).tolist()}
 
     psi /= alpha[:, None]
-    inv = 1.0 / alpha
-    t_parts = zip(np.ldexp(inv.real, -scale_exp).tolist(), np.ldexp(inv.imag, -scale_exp).tolist())
-    return _reports(stencils, coeffs, psi, (beta / alpha).tolist(), [complex(*part) for part in t_parts], failures)
+    big_t = 1.0 / alpha
+    if scale_exp.any():
+        big_t.real = np.ldexp(big_t.real, -scale_exp)
+        big_t.imag = np.ldexp(big_t.imag, -scale_exp)
+    return _reports(stencils, coeffs, psi, (beta / alpha).tolist(), big_t.tolist(), failures)
 
 
 def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
