@@ -26,14 +26,7 @@ from ._version import __version__
 from .closedforms import closed_form_amplitudes
 from .core import PT_PAIR, InteractionWindow, ModelFamily, PhiAngle, ScatteringAmplitudes, energy_from_phi
 from .errors import SingularSystem, SolverError
-from .solver import (
-    PIVOT_RTOL,
-    RESIDUAL_RTOL,
-    solve_matching_angles,
-    solve_matching_stack,
-    solve_transfer_angles,
-    solve_transfer_stack,
-)
+from .solver import PIVOT_RTOL, RESIDUAL_RTOL, solve_matching_stack, solve_transfer_stack
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
@@ -132,11 +125,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
-    batches = {SOLVER_MATCHING: solve_matching_angles, SOLVER_TRANSFER: solve_transfer_angles}
+    stacks = {SOLVER_MATCHING: solve_matching_stack, SOLVER_TRANSFER: solve_transfer_stack}
     for model in spec.models:
         win = model.window()
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
-        reports = {tag: batches[tag](win, phis) for tag in solvers if tag in batches}
+        reports = {tag: stacks[tag]([(win, phi) for phi in phis]) for tag in solvers if tag in stacks}
         for phi in phis:
             for tag in solvers:
                 try:
@@ -272,7 +265,8 @@ def cross_validate(
     points = 0
     for model in models:
         win = model.window()
-        for phi, rm, rt in zip(phis, solve_matching_angles(win, phis), solve_transfer_angles(win, phis)):
+        stack = [(win, phi) for phi in phis]
+        for phi, rm, rt in zip(phis, solve_matching_stack(stack), solve_transfer_stack(stack)):
             try:
                 for report in (rm, rt):
                     if isinstance(report, Exception):

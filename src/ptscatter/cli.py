@@ -344,6 +344,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     failed = False
 
     def report(name: str, worst: float, ok: bool) -> None:

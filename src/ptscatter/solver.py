@@ -16,10 +16,13 @@ alpha*exp(i*m*phi) + beta*exp(-i*m*phi), giving T = 1/alpha, R = beta/alpha.
 Both routes read their rows from one ``RowStencil`` per window, built from
 ``hamiltonian_row``, so their sign conventions cannot drift; agreement
 between them is the primary correctness oracle for windows without a
-closed-form solution.  Every step runs on a stack of points (window, angle)
-whose windows share one stencil shape: the matching assembly and
-elimination, the transfer recursion (one Python step per row, acting on all
-points) and the residual.  The single-point functions are stacks of one.
+closed-form solution.  Each route has one batch entry,
+``solve_matching_stack`` / ``solve_transfer_stack``, which streams any
+iterable of (window, angle) points: every run of consecutive points whose
+windows share one stencil shape is solved in chunks of bounded memory, by
+the matching assembly and band-limited elimination or by the transfer
+recursion (one Python step per row, acting on all points), then the
+residual.  The single-point functions are stacks of one.
 Every report carries the wavefunction on [lo-2, hi+2] and the maximum row
 residual over [lo-1, hi+1], checked against RESIDUAL_RTOL * (1 + max |W|)
 before the solve is declared successful.
@@ -36,6 +39,7 @@ scalars.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -167,63 +171,12 @@ def _bond_vanishes(w: complex) -> bool:
     return abs(-1.0 + w) <= HOPPING_RTOL * (1.0 + abs(w))
 
 
-def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = b by Gaussian elimination with scaled partial pivoting.
-
-    The elimination stays inside the band that holds the nonzero entries of
-    A (see ``_eliminate``).  Raises SingularSystem when the best available
-    pivot falls below PIVOT_RTOL of its row scale.
-    """
-    a = np.array(matrix, dtype=complex)
-    b = np.array(rhs, dtype=complex)
-    n = b.size
-    if n == 0:
-        raise ValueError("empty system")
-    if a.shape != (n, n):
-        raise ValueError(f"matrix shape {a.shape} does not match rhs length {n}")
-    rows, cols = np.nonzero(a)
-    lower = int(np.max(rows - cols, initial=0))
-    upper = int(np.max(cols - rows, initial=0))
-    x, failures = _solve_stack([(a, b)], 1, n, lower, upper)
-    if failures:
-        raise failures[0]
-    return x[0]
-
-
-def _solve_stack(
-    systems: Iterable[tuple[np.ndarray, np.ndarray]], count: int, n: int, lower: int, upper: int
-) -> tuple[np.ndarray, dict[int, SingularSystem]]:
-    """``_eliminate`` for ``count`` dense systems A x = b of size n sharing one band.
-
-    Every entry (r, c) outside -lower <= c - r <= upper must be zero in every A.
-    """
-    band = np.zeros((count, n, 2 * lower + upper + 1), dtype=complex)
-    b = np.empty((count, n), dtype=complex)
-    rows, cols, slots = _band_layout(n, lower, upper)
-    flat = band.reshape(count, -1)
-    for p, (matrix, rhs) in enumerate(systems):
-        flat[p, slots] = matrix[rows, cols]
-        b[p] = rhs
-    return _eliminate(band, b, lower, upper)
-
-
-@functools.lru_cache(maxsize=32)
-def _band_layout(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and columns of the n-by-n entries with -lower <= c - r <= upper, and
-    where the band store keeps each: slot (c - r + lower) of row r."""
-    rows = np.arange(n)[:, None]
-    cols = rows + np.arange(-lower, upper + 1)
-    inside = (cols >= 0) & (cols < n)
-    rows, cols = np.broadcast_to(rows, cols.shape)[inside], cols[inside]
-    return rows, cols, rows * (2 * lower + upper + 1) + cols - rows + lower
-
-
 def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple[np.ndarray, dict[int, SingularSystem]]:
     """Solve the systems A x = b held in band storage, all at once.
 
     ``band`` has shape (count, n, 2*lower + upper + 1): row r of system p
     stores A[r, c] for c = r-lower .. r+lower+upper at slot c - r + lower,
-    the first ``lower`` slots being room for the fill that row exchanges
+    the last ``lower`` slots being room for the fill that row exchanges
     bring in.  Every entry outside -lower <= c - r <= upper must be zero.
     Column k searches its pivot in rows k .. k+lower only and updates rows
     k+1 .. k+lower, columns k+1 .. k+lower+upper; the full elimination only
@@ -383,47 +336,44 @@ def _reports(
 
 
 def _solve(
-    points: Sequence[Point],
+    points: Iterable[Point],
     blocker: Callable[[InteractionWindow], SolverError | None],
-    solve_chunk: Callable[[list[RowStencil], list[float]], list[Outcome]],
+    solve_chunk: Callable[[Sequence[RowStencil], Sequence[float]], list[Outcome]],
 ) -> Iterator[Outcome]:
-    """Outcomes of ``points`` in the order given, solved in stacks of one stencil shape.
+    """Outcomes of ``points``, any iterable, in the order given, streamed.
 
     ``blocker(win)`` returns the SolverError every angle of a window fails
-    with before any arithmetic, or None.  Points whose windows share a
-    stencil shape are solved by ``solve_chunk(stencils, phis)`` in chunks
-    that keep the working arrays within _STACK_BYTES; each outcome is
-    yielded as soon as every point before it has one.
+    with before any arithmetic, or None; it and the stencil are looked up
+    once per run of consecutive points of one window.  A run of consecutive
+    points whose windows share a stencil shape is solved by
+    ``solve_chunk(stencils, phis)`` in chunks that keep the working arrays
+    within _STACK_BYTES.  A chunk's outcomes are yielded as soon as it is
+    full or its run ends, so at most one chunk of points is held.
     """
-    # Per window: its stencil, or its SolverError, and the group of its shape.
-    prepared: dict[int, tuple[RowStencil | SolverError, list[int] | None]] = {}
-    groups: dict[tuple, list[int]] = {}
-    ready: dict[int, Outcome] = {}
-    for i, (win, _) in enumerate(points):
-        if id(win) not in prepared:
-            stencil = blocker(win) or row_stencil(win)
-            members = None if isinstance(stencil, SolverError) else groups.setdefault(stencil.shape, [])
-            prepared[id(win)] = stencil, members
-        stencil, members = prepared[id(win)]
-        if members is None:
-            ready[i] = type(stencil)(*stencil.args)
-        else:
-            members.append(i)
-    done = 0
-    for shape, members in groups.items():
+
+    def prepared() -> Iterator[tuple[RowStencil | SolverError, float]]:
+        current = stencil = None
+        for win, phi in points:
+            if win is not current:
+                current, stencil = win, blocker(win) or row_stencil(win)
+            yield stencil, phi.phi
+
+    def shape(item: tuple[RowStencil | SolverError, float]) -> tuple | SolverError:
+        return item[0] if isinstance(item[0], SolverError) else item[0].shape
+
+    for key, run in itertools.groupby(prepared(), shape):
+        if isinstance(key, SolverError):
+            yield from (type(key)(*key.args) for _ in run)
+            continue
         # Per point: the stored band (3*reach + 1 complex per row), its
         # magnitudes and update temporaries, then the rhs, solution and row
         # buffer of the matching elimination, which needs the most.
-        chunk = max(1, _STACK_BYTES // (16 * len(shape) * (2 * (3 * _layout(shape)[0] + 1) + 4)))
-        for start in range(0, len(members), chunk):
-            part = members[start : start + chunk]
-            stencils = [prepared[id(points[i][0])][0] for i in part]
+        chunk = max(1, _STACK_BYTES // (16 * len(key) * (2 * (3 * _layout(key)[0] + 1) + 4)))
+        while part := list(itertools.islice(run, chunk)):
+            stencils, phis = zip(*part)
             with np.errstate(all="ignore"):
-                ready.update(zip(part, solve_chunk(stencils, [points[i][1].phi for i in part])))
-            while done in ready:
-                yield ready.pop(done)
-                done += 1
-    yield from (ready.pop(i) for i in range(done, len(points)))
+                outcomes = solve_chunk(stencils, phis)
+            yield from outcomes
 
 
 def _raise_or_return(outcome: Outcome) -> SolveReport:
@@ -508,10 +458,12 @@ def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> tuple[np.nda
     coeffs = _coefficients([stencil], [phi.phi])
     n, reach = layout[:2]
     band, b = _assemble(layout, coeffs, _matching_waves([stencil], [phi.phi], n))
-    a = np.zeros((n, n), dtype=complex)
-    rows, cols, slots = _band_layout(n, reach, reach)
-    a[rows, cols] = band[0].reshape(-1)[slots]
-    return a, b[0]
+    # Slot s of row r holds column r + s - reach: column index r + s of a
+    # matrix with reach spare columns on the left.
+    a = np.zeros((n, n + 3 * reach), dtype=complex)
+    for r in range(n):
+        a[r, r : r + 3 * reach + 1] = band[0, r]
+    return a[:, reach : reach + n], b[0]
 
 
 def _matching_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> list[Outcome]:
@@ -535,18 +487,13 @@ def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     return _raise_or_return(next(solve_matching_stack([(win, phi)])))
 
 
-def solve_matching_angles(win: InteractionWindow, phis: Sequence[PhiAngle]) -> Iterator[Outcome]:
-    """``solve_matching_stack`` of one window at every angle, in the order given."""
-    return solve_matching_stack([(win, phi) for phi in phis])
-
-
-def solve_matching_stack(points: Sequence[Point]) -> Iterator[Outcome]:
-    """Matching solutions of many (window, angle) points, in the order given.
+def solve_matching_stack(points: Iterable[Point]) -> Iterator[Outcome]:
+    """Matching solutions of (window, angle) points, any iterable, in the order given.
 
     Yields, per point, the report ``solve_matching(win, phi)`` returns or the
-    exception it raises, with the same bits and message.  Points whose
-    windows share a stencil shape share one band, the window's reach (at
-    least 1), and are assembled and eliminated together.
+    exception it raises, with the same bits and message.  Consecutive points
+    whose windows share a stencil shape share one band, the window's reach
+    (at least 1), and are assembled and eliminated together.
     """
     return _solve(points, _matching_blocker, _matching_chunk)
 
@@ -641,18 +588,13 @@ def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
     return _raise_or_return(next(solve_transfer_stack([(win, phi)])))
 
 
-def solve_transfer_angles(win: InteractionWindow, phis: Sequence[PhiAngle]) -> Iterator[Outcome]:
-    """``solve_transfer_stack`` of one window at every angle, in the order given."""
-    return solve_transfer_stack([(win, phi) for phi in phis])
-
-
-def solve_transfer_stack(points: Sequence[Point]) -> Iterator[Outcome]:
-    """Transfer-recursion solutions of many (window, angle) points, in the order given.
+def solve_transfer_stack(points: Iterable[Point]) -> Iterator[Outcome]:
+    """Transfer-recursion solutions of (window, angle) points, any iterable, in the order given.
 
     Yields, per point, the report ``solve_transfer_matrix(win, phi)`` returns
     or the exception it raises, with the same bits and message.  The
-    recursion takes one step per row for every point of a stencil shape at
-    once; psi is rescaled per point.
+    recursion takes one step per row for every point of a run of one
+    stencil shape at once; psi is rescaled per point.
     """
     return _solve(points, _transfer_blocker, _transfer_chunk)
 

@@ -332,6 +332,18 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "closed-forms", "--M-max", "1", "--tol", "1e-18"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_zero_tolerance_is_a_gate_not_bad_input(self, capsys):
+        assert main(["verify", "--suite", "closed-forms", "--M-max", "1", "--tol", "0"]) == 3
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e400"])
+    def test_non_finite_or_negative_tolerance_exits_one(self, tol, capsys):
+        """A NaN tolerance fails every check and an infinite one none; both are bad input."""
+        assert main(["verify", "--suite", "closed-forms", "--M-max", "1", f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--tol must be finite and non-negative, got {float(tol)!r}" in captured.err
+
 
 class TestCheckPtCommand:
     def test_pair_is_symmetric(self, capsys):

@@ -1,11 +1,12 @@
 """The band-limited elimination against the dense Gaussian elimination it replaced.
 
 ``dense_reference`` is the full-matrix elimination with scaled partial
-pivoting that ``solve_complex_linear`` ran before it was limited to the band.
-The band kernel must reproduce its solutions bit for bit and its
-SingularSystem messages verbatim, one system at a time and in stacks that
-share a band.  The sweep and memory tests check the angle batches built on
-that kernel.
+pivoting that ran before the elimination was limited to the band.
+``band_solve`` packs dense test systems into the band store and calls the
+kernel, ``_eliminate``, directly.  The kernel must reproduce the reference's
+solutions bit for bit and its SingularSystem messages verbatim, one system
+at a time and in stacks that share a band.  The sweep and memory tests
+check the angle stacks built on that kernel.
 """
 
 import math
@@ -24,11 +25,10 @@ from ptscatter import (
     SweepSpec,
     build_matching_system,
     run_sweep,
-    solve_complex_linear,
     solve_matching,
-    solve_matching_angles,
+    solve_matching_stack,
 )
-from ptscatter.solver import PIVOT_RTOL, _solve_stack
+from ptscatter.solver import PIVOT_RTOL, _eliminate
 
 
 def dense_reference(matrix, rhs):
@@ -58,6 +58,30 @@ def dense_reference(matrix, rhs):
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - np.dot(a[k, k + 1 :], x[k + 1 :])) / a[k, k]
     return x
+
+
+def band_solve(systems, lower, upper):
+    """``_eliminate`` on dense systems (A, b) of one size, every A zero outside -lower <= c - r <= upper.
+
+    Row r of the band store holds A[r, c] at slot c - r + lower.
+    """
+    n = len(systems[0][1])
+    band = np.zeros((len(systems), n, 2 * lower + upper + 1), dtype=complex)
+    for p, (a, _) in enumerate(systems):
+        for r in range(n):
+            first, end = max(r - lower, 0), min(r + upper + 1, n)
+            band[p, r, first - r + lower : end - r + lower] = a[r, first:end]
+    return _eliminate(band, np.array([b for _, b in systems], dtype=complex), lower, upper)
+
+
+def solve_dense(matrix, rhs):
+    """One system through ``band_solve``, its band read off the nonzero entries; raises its failure."""
+    a = np.asarray(matrix, dtype=complex)
+    rows, cols = np.nonzero(a)
+    x, failures = band_solve([(a, rhs)], int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0)))
+    if failures:
+        raise failures[0]
+    return x[0]
 
 
 def reference_outcome(matrix, rhs):
@@ -107,7 +131,7 @@ def test_single_systems_match_the_dense_elimination_bitwise(case):
     _, _, _, systems = case
     for a, b in systems:
         try:
-            got = solve_complex_linear(a, b).tobytes()
+            got = solve_dense(a, b).tobytes()
         except SingularSystem as exc:
             got = str(exc)
         assert got == reference_outcome(a, b)
@@ -116,8 +140,8 @@ def test_single_systems_match_the_dense_elimination_bitwise(case):
 @KERNEL_SETTINGS
 @given(stacks())
 def test_stacks_match_the_dense_elimination_bitwise(case):
-    n, lower, upper, systems = case
-    x, failures = _solve_stack(systems, len(systems), n, lower, upper)
+    _, lower, upper, systems = case
+    x, failures = band_solve(systems, lower, upper)
     for p, (a, b) in enumerate(systems):
         got = str(failures[p]) if p in failures else x[p].tobytes()
         assert got == reference_outcome(a, b)
@@ -131,7 +155,7 @@ def test_a_singular_member_fails_alone_and_quietly():
     expected = [reference_outcome(a, b) for a, b in systems]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, failures = _solve_stack(systems, len(systems), n, lower, upper)
+        x, failures = band_solve(systems, lower, upper)
     assert list(failures) == [2]
     assert str(failures[2]) == expected[2]
     for p in (0, 1, 3, 4, 5):
@@ -144,7 +168,7 @@ def test_angle_chunks_match_the_dense_elimination():
     entries.update({(0, 39): 0.2, (39, 0): -0.2j, (5, 17): 0.3 + 0.1j})
     win = InteractionWindow(lo=0, hi=39, entries=entries)
     phis = tuple(PhiAngle(0.2 + 0.045 * k) for k in range(60))
-    reports = list(solve_matching_angles(win, phis))
+    reports = list(solve_matching_stack((win, phi) for phi in phis))
     assert len(reports) == len(phis)
     for phi, report in zip(phis, reports):
         u = dense_reference(*build_matching_system(win, phi))

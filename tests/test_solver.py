@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_elimination import solve_dense
 
 from ptscatter import (
     InteractionWindow,
@@ -17,7 +18,6 @@ from ptscatter import (
     build_pt_delta_pair,
     build_ultralocal,
     residual,
-    solve_complex_linear,
     solve_matching,
     solve_transfer_matrix,
 )
@@ -214,32 +214,34 @@ class TestSingularInputs:
 
 
 class TestSolveComplexLinear:
+    """The band elimination kernel on small dense systems, through ``solve_dense``."""
+
     def test_identity(self):
         rhs = np.array([1 + 2j, -3.0, 0.5j])
-        assert np.allclose(solve_complex_linear(np.eye(3), rhs), rhs)
+        assert np.allclose(solve_dense(np.eye(3), rhs), rhs)
 
     def test_permutation(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = solve_complex_linear(a, np.array([1 + 1j, 2 - 1j]))
+        out = solve_dense(a, np.array([1 + 1j, 2 - 1j]))
         assert np.allclose(out, [2 - 1j, 1 + 1j])
 
     def test_random_system_residual(self):
         rng = np.random.default_rng(99)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) + 8.0 * np.eye(8)
         b = rng.normal(size=8) + 1j * rng.normal(size=8)
-        x = solve_complex_linear(a, b)
+        x = solve_dense(a, b)
         residual_norm = np.max(np.abs(a @ x - b))
         assert residual_norm <= 1e-12 * np.max(np.abs(b))
 
     def test_singular_matrix_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularSystem):
-            solve_complex_linear(a, np.array([1.0, 1.0]))
+            solve_dense(a, np.array([1.0, 1.0]))
 
     def test_zero_row_raises(self):
         a = np.array([[0.0, 0.0], [1.0, 2.0]])
         with pytest.raises(SingularSystem):
-            solve_complex_linear(a, np.array([1.0, 1.0]))
+            solve_dense(a, np.array([1.0, 1.0]))
 
 
 class TestMatchingSystemStructure:

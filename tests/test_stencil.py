@@ -28,9 +28,7 @@ from ptscatter import (
     build_ultralocal,
     residual,
     solve_matching,
-    solve_matching_angles,
     solve_matching_stack,
-    solve_transfer_angles,
     solve_transfer_matrix,
     solve_transfer_stack,
 )
@@ -294,7 +292,8 @@ def test_residual_overflow_raises_like_cpython_abs():
 def test_single_point_functions_are_stacks_of_one():
     win = build_pt_delta_pair(2, 0.4)
     phis = [PhiAngle(0.3), PhiAngle(1.7)]
-    for phi, rm, rt in zip(phis, solve_matching_angles(win, phis), solve_transfer_angles(win, phis)):
+    points = [(win, phi) for phi in phis]
+    for phi, rm, rt in zip(phis, solve_matching_stack(points), solve_transfer_stack(points)):
         assert _bits(solve_matching(win, phi)) == _bits(rm)
         assert _bits(solve_transfer_matrix(win, phi)) == _bits(rt)
 
@@ -302,13 +301,36 @@ def test_single_point_functions_are_stacks_of_one():
 def test_blocked_windows_fail_at_every_angle_with_fresh_exceptions():
     phis = [PhiAngle(0.4), PhiAngle(1.2)]
     severed = build_pt_delta_pair(1, 1.0)
-    matching = list(solve_matching_angles(severed, phis))
-    transfer = list(solve_transfer_angles(severed, phis))
+    matching = list(solve_matching_stack((severed, phi) for phi in phis))
+    transfer = list(solve_transfer_stack((severed, phi) for phi in phis))
     assert matching[0] is not matching[1] and transfer[0] is not transfer[1]
     assert all(isinstance(o, SingularSystem) for o in matching)
     assert all(isinstance(o, ZeroHopping) for o in transfer)
     wide = InteractionWindow(lo=0, hi=3, entries={(0, 2): 0.1})
-    assert all(isinstance(o, NotTridiagonal) for o in solve_transfer_angles(wide, phis))
+    assert all(isinstance(o, NotTridiagonal) for o in solve_transfer_stack((wide, phi) for phi in phis))
+
+
+@pytest.mark.parametrize(
+    "stack, reference",
+    [(solve_matching_stack, reference_solve_matching), (solve_transfer_stack, reference_solve_transfer)],
+)
+def test_stacks_stream_a_generator(stack, reference):
+    """Interleaved points of several shapes and a blocked window, read lazily from a generator."""
+    wins = [build_pt_delta_pair(1, 0.4), build_pt_delta_pair(3, -0.2), build_pt_delta_pair(1, 1.0),
+            build_ultralocal(0.5), InteractionWindow(lo=0, hi=3, entries={(0, 2): 0.1, (3, 1): -0.2j})]
+    points = [(win, PhiAngle(0.3 + 0.4 * k)) for k in range(6) for win in wins]
+    drawn = []
+
+    def feed():
+        for point in points:
+            drawn.append(point)
+            yield point
+
+    outcomes = stack(feed())
+    first = next(outcomes)
+    assert len(drawn) < len(points)
+    got = [_bits(first), *map(_bits, outcomes)]
+    assert got == [_reference(reference, win, phi) for win, phi in points]
 
 
 def test_oracle_raises_the_first_failure_in_draw_order(monkeypatch):
