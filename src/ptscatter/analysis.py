@@ -126,10 +126,12 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
     stacks = {SOLVER_MATCHING: solve_matching_stack, SOLVER_TRANSFER: solve_transfer_stack}
+    numeric = [tag for tag in solvers if tag in stacks]
     for model in spec.models:
-        win = model.window()
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
-        reports = {tag: stacks[tag]([(win, phi) for phi in phis]) for tag in solvers if tag in stacks}
+        # Closed forms need no window, so a closed-form-only sweep builds none.
+        win = model.window() if numeric else None
+        reports = {tag: stacks[tag]([(win, phi) for phi in phis]) for tag in numeric}
         for phi in phis:
             for tag in solvers:
                 try:
@@ -232,6 +234,12 @@ class CrossValidation:
         )
 
 
+def _check_tol(tol: float) -> None:
+    """A NaN tolerance fails every check and an infinite one none, so both are rejected."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def _amp_delta(a: ScatteringAmplitudes, b: ScatteringAmplitudes) -> float:
     return max(abs(a.R - b.R), abs(a.T - b.T))
 
@@ -255,6 +263,7 @@ def cross_validate(
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max!r}")
+    _check_tol(tol)
     xs = tuple(x_values) if x_values is not None else default_coupling_grid()
     phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
     models = [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs]
@@ -333,6 +342,7 @@ def transfer_matching_agreement(
     chain; the entries stay in [-0.9, 0.9], so all total couplings are
     bounded away from zero.
     """
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     worst_r = worst_t = 0.0
     first_error: tuple[int, Exception] | None = None

@@ -72,11 +72,13 @@ class InteractionWindow:
     """Finite interaction block W on lattice sites [lo, hi], stored sparsely.
 
     ``entries`` maps site pairs (i, j) to complex values; pairs that are
-    absent count as zero.  Entries equal to exactly zero are dropped on
-    construction, so windows that differ only by explicit zero padding of the
-    entry map compare equal.  The nonzero entries are also indexed by row, in
-    entry order, for ``row``; ``_memo`` keeps what the solvers derive from the
-    entries (the row stencil), built on first use.
+    absent count as zero.  Every entry must have a finite modulus, so
+    ``max_abs_entry`` and the solvers' bond checks stay finite.  Entries
+    equal to exactly zero are dropped on construction, so windows that
+    differ only by explicit zero padding of the entry map compare equal.
+    The nonzero entries are also indexed by row, in entry order, for
+    ``row``; ``_memo`` keeps what the solvers derive from the entries (the
+    row stencil), built on first use.
     """
 
     lo: int
@@ -93,6 +95,8 @@ class InteractionWindow:
             if not (self.lo <= i <= self.hi and self.lo <= j <= self.hi):
                 raise ValueError(f"entry ({i}, {j}) outside window [{self.lo}, {self.hi}]")
             value = complex(value)
+            if not math.isfinite(math.hypot(value.real, value.imag)):
+                raise ValueError(f"entry ({i}, {j}) = {value} must have a finite modulus")
             if value != 0:
                 cleaned[(int(i), int(j))] = value
         object.__setattr__(self, "entries", cleaned)

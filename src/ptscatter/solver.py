@@ -78,7 +78,7 @@ class SolveReport:
 
 
 # What a stack yields per point: the report, or the exception a single solve raises.
-Outcome = SolveReport | SolverError | OverflowError
+Outcome = SolveReport | SolverError
 
 
 def hamiltonian_row(win: InteractionWindow, m: int, two_cos: float) -> dict[int, complex]:
@@ -269,16 +269,14 @@ def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequenc
     )
 
 
-def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.ndarray) -> tuple[list[float], set[int]]:
-    """Max row residual over rows lo-1 .. hi+1 of each point's psi, and where it overflows.
+def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.ndarray) -> list[float]:
+    """Max row residual over rows lo-1 .. hi+1 of each point's psi.
 
     ``psi`` has shape (P, rows + 2), samples on [lo-2, hi+2].  Each row sums
     its products from zero in stencil order and takes the modulus with
     hypot, as CPython's complex arithmetic on the samples does.  A NaN row
-    makes the result NaN, so it fails every tolerance check.  Scanning rows
-    in order, a row whose finite sum has a modulus beyond the float range
-    ends the scan as an overflow (CPython's ``abs`` raises OverflowError
-    there) unless a NaN row came first.
+    makes the result NaN, so it fails every tolerance check; a row whose
+    modulus lies beyond the float range gives inf.
     """
     rows = len(shape)
     terms = _cmul(coeffs[:, :, :3], psi[:, _base_sites(rows)])  # columns m-1, m, m+1 of every row
@@ -288,22 +286,9 @@ def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.n
     del terms
     for k, t, sites in _layout(shape)[1]:
         total[:, t] += _cmul(coeffs[:, t, k], psi[:, sites])
-    row_residual = np.hypot(total.real, total.imag)
-    worst = row_residual.max(axis=1)
-    overflow: set[int] = set()
-    if np.isfinite(worst).all():
-        return worst.tolist(), overflow
-    bad = np.flatnonzero(~np.isfinite(worst)).tolist()
-    worst = worst.tolist()
-    for p in bad:
-        for t, value in enumerate(row_residual[p].tolist()):
-            if math.isnan(value):
-                worst[p] = math.nan  # CPython's abs gives this NaN whatever the parts' NaN bits
-                break
-            if math.isinf(value) and math.isfinite(total[p, t].real) and math.isfinite(total[p, t].imag):
-                overflow.add(p)
-                break
-    return worst, overflow
+    worst = np.hypot(total.real, total.imag).max(axis=1)
+    worst[np.isnan(worst)] = math.nan  # CPython's abs gives this NaN whatever the parts' NaN bits
+    return worst.tolist()
 
 
 def _reports(
@@ -315,14 +300,12 @@ def _reports(
     failures: dict[int, SolverError],
 ) -> list[Outcome]:
     """Per point: its failure, or the report once its residual passes the gate."""
-    worst, overflow = _residuals(stencils[0].shape, coeffs, psi)
-    outcomes: list = []
+    worst = _residuals(stencils[0].shape, coeffs, psi)
+    outcomes: list[Outcome] = []
     for p, stencil in enumerate(stencils):
         res = worst[p]
         if p in failures:
             outcomes.append(failures[p])
-        elif p in overflow:
-            outcomes.append(OverflowError("absolute value too large"))
         elif not res <= stencil.tol:
             outcomes.append(
                 SingularSystem(
@@ -604,7 +587,8 @@ def residual(win: InteractionWindow, phi: PhiAngle, psi: np.ndarray) -> float:
 
     ``psi`` holds the wavefunction on [lo-2, hi+2].  The arithmetic is
     CPython's complex arithmetic on the samples.  A row whose residual is NaN
-    makes the result NaN, so it fails every tolerance check.
+    makes the result NaN, so it fails every tolerance check; a row whose
+    modulus lies beyond the float range gives inf.
     """
     base = win.lo - 2
     if psi.shape != (win.hi + 3 - base,):
@@ -612,7 +596,4 @@ def residual(win: InteractionWindow, phi: PhiAngle, psi: np.ndarray) -> float:
     stencil = row_stencil(win)
     with np.errstate(all="ignore"):
         coeffs = _coefficients([stencil], [phi.phi])
-        worst, overflow = _residuals(stencil.shape, coeffs, np.asarray(psi, dtype=complex)[None])
-    if overflow:
-        raise OverflowError("absolute value too large")
-    return worst[0]
+        return _residuals(stencil.shape, coeffs, np.asarray(psi, dtype=complex)[None])[0]

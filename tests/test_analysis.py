@@ -116,6 +116,15 @@ class TestRunSweep:
         assert not table.rows
         assert len(table.errors) == 1 and "ValueError" in table.errors[0].reason
 
+    def test_closed_form_only_sweep_builds_no_window(self, monkeypatch):
+        def no_window(model):
+            raise AssertionError("a closed-form-only sweep built a window")
+
+        monkeypatch.setattr(ModelFamily, "window", no_window)
+        spec = pair_spec(couplings=(-0.5, 0.4), m_list=(1, 3), solvers=(SOLVER_CLOSED_FORM,))
+        table = run_sweep(spec)
+        assert len(table.rows) == 4 and not table.errors
+
     def test_ultralocal_defects(self):
         spec = ultralocal_spec((-0.5, 0.0, 0.5), (PhiAngle(math.pi / 2),))
         defects = [row.defect for row in run_sweep(spec).rows]
@@ -213,6 +222,33 @@ class TestCrossValidate:
     def test_impossible_tolerance_fails(self):
         result = cross_validate(1, tol=1e-18, x_values=(0.5,), phi_values=default_phi_grid(3))
         assert not result.passed
+
+
+BAD_TOLERANCES = [math.nan, math.inf, -math.inf, -1e-9]
+
+
+def _no_solve(points):
+    raise AssertionError("solved before checking the tolerance")
+
+
+class TestToleranceGates:
+    """A NaN tolerance fails every check and an infinite one none; both are rejected before any solve."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_cross_validate_rejects(self, tol, monkeypatch):
+        monkeypatch.setattr("ptscatter.analysis.solve_matching_stack", _no_solve)
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            cross_validate(1, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_transfer_matching_agreement_rejects(self, tol, monkeypatch):
+        monkeypatch.setattr("ptscatter.analysis.solve_matching_stack", _no_solve)
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            transfer_matching_agreement(n_windows=5, tol=tol)
+
+    def test_zero_tolerance_is_a_gate(self):
+        assert not cross_validate(1, tol=0.0, x_values=(0.5,), phi_values=default_phi_grid(3)).passed
+        assert transfer_matching_agreement(n_windows=2, angles_per_window=2, tol=0.0).tol == 0.0
 
 
 class TestTransferMatchingAgreement:

@@ -4,6 +4,8 @@ import json
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ptscatter import cli
 from ptscatter.analysis import OracleAgreement
@@ -117,12 +119,52 @@ class TestWindowFile:
                 load_window_file(self._write(tmp_path, doc))
 
     @pytest.mark.parametrize(
-        "number", ['"re": NaN', '"re": Infinity', '"re": 0.5, "im": -Infinity', '"re": 1e400']
+        "number",
+        ['"re": NaN', '"re": Infinity', '"re": 0.5, "im": -Infinity', '"re": 1e400', '"re": 1.5e308, "im": 1.5e308'],
     )
     def test_rejects_non_finite_numbers(self, tmp_path, number):
         payload = '{"lo": 0, "hi": 0, "entries": [{"i": 0, "j": 0, %s}]}' % number
         with pytest.raises(ValueError, match="finite"):
             load_window_file(self._write(tmp_path, payload))
+
+
+@st.composite
+def json_token(draw, ordinary, rare, odds=4):
+    """JSON text of a value drawn from ``ordinary``, or one time in ``odds`` from ``rare``."""
+    return draw(rare if draw(st.integers(min_value=1, max_value=odds)) == odds else ordinary)
+
+
+# Entry parts: ordinary floats, or finite parts whose modulus may overflow,
+# or a number beyond the float range, NaN, a 400-digit integer or a boolean.
+HUGE_PART = st.sampled_from(["1.5e308", "-1.7e308"])
+BAD_PART = st.sampled_from(["1e400", "NaN", "1" + "0" * 400, "true", "false"])
+PART = json_token(st.floats(min_value=-2.0, max_value=2.0).map(json.dumps), json_token(HUGE_PART, BAD_PART, 3))
+
+
+@st.composite
+def window_documents(draw):
+    """Window file text; the width stays at most 64 sites, since nothing caps it."""
+    lo = draw(st.integers(min_value=-8, max_value=8))
+    hi = lo + draw(st.integers(min_value=-1, max_value=64))
+    site = st.integers(min_value=lo, max_value=max(lo, min(hi, lo + 4))).map(str)
+    index = json_token(site, st.sampled_from([str(lo - 1), str(hi + 1), "true", "false", "0.0", "1.5"]), 12)
+    entries = draw(st.lists(st.tuples(index, index, PART, PART), max_size=5))
+    items = ",".join('{"i": %s, "j": %s, "re": %s, "im": %s}' % entry for entry in entries)
+    return '{"lo": %d, "hi": %d, "entries": [%s]}' % (lo, hi, items)
+
+
+@settings(
+    derandomize=True, deadline=None, max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(window_documents(), st.sampled_from(["matching", "transfer"]), st.sampled_from(["0.3", "1.0", "2.5"]))
+def test_window_files_map_to_exit_codes(tmp_path, document, solver, phi):
+    """Any window document gives exit 0, 1 or 2 from solve and check-pt; nothing raises or warns."""
+    path = tmp_path / "window.json"
+    path.write_text(document)
+    window = ["--model", "custom", "--window", str(path)]
+    assert main(["solve", *window, "--phi", phi, "--solver", solver]) in (0, 1, 2)
+    assert main(["check-pt", *window]) in (0, 1)
 
 
 class TestSolveCommand:
@@ -175,13 +217,24 @@ class TestSolveCommand:
 
     def test_non_finite_window_exits_one_without_warnings(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
-        path.write_text('{"lo": 0, "hi": 0, "entries": [{"i": 0, "j": 0, "re": NaN}]}')
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["solve", "--model", "custom", "--window", str(path), "--phi", "1.0"])
-        assert code == 1
-        assert "finite" in capsys.readouterr().err
-        assert not caught
+        # A NaN part, and finite parts whose modulus overflows.
+        for entry in ('"re": NaN', '"re": 1.5e308, "im": 1.5e308'):
+            path.write_text('{"lo": 0, "hi": 0, "entries": [{"i": 0, "j": 0, %s}]}' % entry)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["solve", "--model", "custom", "--window", str(path), "--phi", "1.0"])
+            assert code == 1
+            assert "finite" in capsys.readouterr().err
+            assert not caught
+
+    @pytest.mark.parametrize("command", [["solve", "--phi", "1.0"], ["sweep", "--phi-range", "1:1:1"], ["check-pt"]])
+    def test_overflowing_modulus_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text('{"lo": 0, "hi": 0, "entries": [{"i": 0, "j": 0, "re": 1.5e308, "im": 1.5e308}]}')
+        assert main([command[0], "--model", "custom", "--window", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ptscatter: error: entry (0, 0) = (1.5e+308+1.5e+308j) must have a finite modulus\n"
 
     def test_missing_window_file_exits_one(self):
         assert main(["solve", "--model", "custom", "--window", "/no/such/file.json", "--phi", "1.0"]) == 1

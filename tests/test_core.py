@@ -59,6 +59,18 @@ class TestInteractionWindow:
         with pytest.raises(ValueError):
             InteractionWindow(lo=0, hi=1, entries={(0, 2): 1.0})
 
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, complex(0.5, math.nan), math.inf, complex(0.0, -math.inf), complex(1.5e308, 1.5e308), -1.7e308 - 1.7e308j],
+    )
+    def test_rejects_entries_without_a_finite_modulus(self, value):
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) = .* must have a finite modulus"):
+            InteractionWindow(lo=0, hi=1, entries={(1, 1): 0.5, (0, 1): value})
+
+    def test_accepts_the_largest_finite_modulus(self):
+        value = complex(1.2e308, 1.2e308)  # |value| ~ 1.7e308, each part and the modulus finite
+        assert InteractionWindow(lo=0, hi=0, entries={(0, 0): value}).max_abs_entry() == abs(value)
+
     def test_absent_pairs_read_as_zero(self):
         win = InteractionWindow(lo=0, hi=2, entries={(0, 1): 2.0})
         assert win.entry(0, 1) == 2.0

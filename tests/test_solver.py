@@ -198,6 +198,23 @@ class TestSingularInputs:
                 assert abs(rt.R - rm.R) <= 1e-12
                 assert abs(rt.T - rm.T) <= 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="matching's residual gate scales with max|W|, not with the row terms it guards; see ROADMAP item 3",
+    )
+    def test_matching_keeps_relative_accuracy_on_strong_barriers(self):
+        # One site W[0, 0] = V has T = 2i sin(phi) / (2i sin(phi) - V) exactly.
+        phi = PhiAngle(1.0)
+        for barrier in (1e15, 1e200):
+            exact = 2j * math.sin(phi.phi) / (2j * math.sin(phi.phi) - barrier)
+            win = InteractionWindow(lo=0, hi=0, entries={(0, 0): barrier})
+            assert abs(solve_transfer_matrix(win, phi).amplitudes.T - exact) <= 1e-9 * abs(exact)
+            try:
+                t = solve_matching(win, phi).amplitudes.T
+            except SingularSystem:
+                continue
+            assert abs(t - exact) <= 1e-9 * abs(exact), barrier
+
     def test_non_tridiagonal_rejected_by_transfer(self):
         win = InteractionWindow(lo=0, hi=2, entries={(0, 2): 1.0})
         with pytest.raises(NotTridiagonal):

@@ -72,8 +72,24 @@ def reference_residual(win, phi, psi):
     return worst
 
 
+def reference_residual_overflow_as_inf(win, phi, psi):
+    """reference_residual, reading a row modulus beyond the float range as inf as numpy's hypot does.
+
+    Where CPython's ``abs`` raises OverflowError the result is inf, or NaN
+    if any row, before or after the overflowing one, is NaN.
+    """
+    try:
+        return reference_residual(win, phi, psi)
+    except OverflowError:
+        samples = psi.tolist()
+        two_cos = 2.0 * math.cos(phi.phi)
+        sums = [sum((c * samples[j - win.lo + 2] for j, c in hamiltonian_row(win, m, two_cos).items()), 0j)
+                for m in range(win.lo - 1, win.hi + 2)]
+        return math.nan if any(math.isnan(math.hypot(s.real, s.imag)) for s in sums) else math.inf
+
+
 def reference_report(win, phi, amplitudes, psi):
-    residual_max = reference_residual(win, phi, psi)
+    residual_max = reference_residual_overflow_as_inf(win, phi, psi)
     tol = RESIDUAL_RTOL * (1.0 + win.max_abs_entry())
     if not residual_max <= tol:
         raise SingularSystem(f"row residual {residual_max:.3e} exceeds {tol:.3e}; system too ill-conditioned to trust")
@@ -168,7 +184,7 @@ def _reference(solve, win, phi):
         with np.errstate(all="ignore"):
             try:
                 return _bits(solve(win, phi))
-            except (SingularSystem, NotTridiagonal, OverflowError) as exc:
+            except (SingularSystem, NotTridiagonal) as exc:
                 return _bits(exc)
 
 
@@ -267,24 +283,25 @@ SAMPLE = st.one_of(
 @STACK_SETTINGS
 @given(windows(), ANGLES, st.data())
 def test_residual_matches_cpython_arithmetic(win, phis, data):
-    """Arbitrary samples, NaN, inf and overflowing row sums included."""
+    """Arbitrary samples, NaN, inf and overflowing row sums included; an overflowing modulus reads as inf."""
     size = win.hi - win.lo + 5
     psi = np.array([complex(data.draw(SAMPLE), data.draw(SAMPLE)) for _ in range(size)])
     for phi in phis:
-        expected = _reference(lambda w, p: reference_residual(w, p, psi), win, phi)
+        expected = _reference(lambda w, p: reference_residual_overflow_as_inf(w, p, psi), win, phi)
         assert _reference(lambda w, p: residual(w, p, psi), win, phi) == expected
 
 
-def test_residual_overflow_raises_like_cpython_abs():
+def test_residual_overflow_is_inf():
     win = InteractionWindow(lo=0, hi=0)
     psi = np.zeros(5, dtype=complex)
     psi[0] = complex(-1.5e308, -1.5e308)  # row -1: -psi[-2] has a finite sum whose modulus overflows
     with pytest.raises(OverflowError, match="absolute value too large"):
         reference_residual(win, PhiAngle(1.0), psi)
-    with pytest.raises(OverflowError, match="absolute value too large"):
-        residual(win, PhiAngle(1.0), psi)
-    psi[1] = complex(math.nan, 0.0)  # a NaN row before it ends the scan first
-    psi[0] = 0j
+    assert residual(win, PhiAngle(1.0), psi) == math.inf
+    psi[4] = complex(math.nan, 0.0)  # a NaN row after it (row 1) makes the result NaN
+    assert math.isnan(residual(win, PhiAngle(1.0), psi))
+    psi[:] = 0j
+    psi[1] = complex(math.nan, 0.0)  # and so does a NaN row before it
     psi[2] = complex(-1.5e308, -1.5e308)
     assert math.isnan(residual(win, PhiAngle(1.0), psi))
 
