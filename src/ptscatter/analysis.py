@@ -10,15 +10,17 @@ Singular grid points become error records instead of aborting the sweep.
 closed forms against both solvers where a closed form exists (separations
 1..3), solver against solver beyond that, plus the probability-sum defect;
 it also holds both solvers to the ultralocal closed form.
+``probability_defect`` is its defect check alone.
 ``transfer_matching_agreement`` does the same for randomly generated
 tridiagonal windows, where no closed form is available at all.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,15 +28,17 @@ from ._version import __version__
 from .closedforms import closed_form_amplitudes
 from .core import PT_PAIR, InteractionWindow, ModelFamily, PhiAngle, ScatteringAmplitudes, energy_from_phi
 from .errors import SingularSystem, SolverError
-from .solver import PIVOT_RTOL, RESIDUAL_RTOL, solve_matching_stack, solve_transfer_stack
+from .solver import PIVOT_RTOL, RESIDUAL_RTOL, SolveReport, solve_matching_stack, solve_transfer_stack
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
 SOLVER_CLOSED_FORM = "closed-form"
 ALL_SOLVERS = (SOLVER_CLOSED_FORM, SOLVER_MATCHING, SOLVER_TRANSFER)
-# transfer_matching_agreement solves the points of one window width together
-# once this many are drawn: big enough that the per-row numpy calls act on
-# many points, small enough that the waiting windows stay a few hundred KB.
+# Points per stack of both oracles: cross_validate streams groups of about
+# this many points into the solvers, and transfer_matching_agreement solves
+# the points of one window width together once this many are drawn.  Big
+# enough that the per-row numpy calls act on many points, small enough that
+# the waiting windows and a chunk's arrays stay a few hundred KB.
 _ORACLE_STACK = 256
 
 
@@ -244,6 +248,48 @@ def _amp_delta(a: ScatteringAmplitudes, b: ScatteringAmplitudes) -> float:
     return max(abs(a.R - b.R), abs(a.T - b.T))
 
 
+def _delta_pair_grid(
+    m_max: int, x_values: Sequence[float] | None, phi_values: Sequence[PhiAngle] | None
+) -> tuple[list[ModelFamily], tuple[float, ...], tuple[PhiAngle, ...]]:
+    """The delta pairs of separations 1..m_max over the couplings, the couplings and the angles."""
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max!r}")
+    xs = tuple(x_values) if x_values is not None else default_coupling_grid()
+    phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
+    return [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs], xs, phis
+
+
+def _solved_points(
+    models: Sequence[ModelFamily], phis: Sequence[PhiAngle], singular: list[tuple[int, float]]
+) -> Iterator[tuple[ModelFamily, PhiAngle, SolveReport, SolveReport]]:
+    """(model, angle, matching report, transfer report) of every grid point, model by model.
+
+    Consecutive groups of _ORACLE_STACK // len(phis) models (at least one)
+    are each one stream into both stacks.  A model stops at its first
+    singular point, and its (separation, coupling) is appended to
+    ``singular`` once.
+    """
+    size = max(1, _ORACLE_STACK // max(1, len(phis)))
+    for start in range(0, len(models), size):
+        group = models[start : start + size]
+        stack = [(win, phi) for win in [model.window() for model in group] for phi in phis]
+        matching, transfer = solve_matching_stack(stack), solve_transfer_stack(stack)
+        for model in group:
+            # A model's outcomes are all taken before its loop can stop early,
+            # so the next model starts at its own.
+            reports = list(zip(phis, itertools.islice(matching, len(phis)), itertools.islice(transfer, len(phis))))
+            for phi, rm, rt in reports:
+                try:
+                    for report in (rm, rt):
+                        if isinstance(report, Exception):
+                            raise report
+                except SingularSystem:
+                    if (model.m_sep, model.coupling) not in singular:
+                        singular.append((model.m_sep, model.coupling))
+                    break
+                yield model, phi, rm, rt
+
+
 def cross_validate(
     m_max: int,
     tol: float = 1e-9,
@@ -261,39 +307,22 @@ def cross_validate(
     system (|x| = 1 and the like) are recorded as (separation, coupling),
     separation 0 for the ultralocal block, and excluded from pass/fail.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max!r}")
+    models, xs, phis = _delta_pair_grid(m_max, x_values, phi_values)
     _check_tol(tol)
-    xs = tuple(x_values) if x_values is not None else default_coupling_grid()
-    phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
-    models = [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs]
     models += [ModelFamily.ultralocal(a) for a in xs]
 
     worst_cm = worst_ct = worst_mt = worst_defect = 0.0
     singular: list[tuple[int, float]] = []
     points = 0
-    for model in models:
-        win = model.window()
-        stack = [(win, phi) for phi in phis]
-        for phi, rm, rt in zip(phis, solve_matching_stack(stack), solve_transfer_stack(stack)):
-            try:
-                for report in (rm, rt):
-                    if isinstance(report, Exception):
-                        raise report
-            except SingularSystem:
-                if (model.m_sep, model.coupling) not in singular:
-                    singular.append((model.m_sep, model.coupling))
-                break
-            if model.kind == PT_PAIR:
-                points += 1
-                worst_mt = max(worst_mt, _amp_delta(rm.amplitudes, rt.amplitudes))
-                worst_defect = max(
-                    worst_defect, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect)
-                )
-            if model.m_sep <= 3:
-                cf = closed_form_amplitudes(model, phi)
-                worst_cm = max(worst_cm, _amp_delta(cf, rm.amplitudes))
-                worst_ct = max(worst_ct, _amp_delta(cf, rt.amplitudes))
+    for model, phi, rm, rt in _solved_points(models, phis, singular):
+        if model.kind == PT_PAIR:
+            points += 1
+            worst_mt = max(worst_mt, _amp_delta(rm.amplitudes, rt.amplitudes))
+            worst_defect = max(worst_defect, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect))
+        if model.m_sep <= 3:
+            cf = closed_form_amplitudes(model, phi)
+            worst_cm = max(worst_cm, _amp_delta(cf, rm.amplitudes))
+            worst_ct = max(worst_ct, _amp_delta(cf, rt.amplitudes))
 
     passed = max(worst_cm, worst_ct, worst_mt, worst_defect) <= tol
     return CrossValidation(
@@ -309,6 +338,24 @@ def cross_validate(
     )
 
 
+def probability_defect(
+    m_max: int,
+    x_values: Sequence[float] | None = None,
+    phi_values: Sequence[PhiAngle] | None = None,
+) -> float:
+    """Worst |(|R|^2 + |T|^2) - 1| of both solvers over the delta pairs of separations 1..m_max.
+
+    The ``worst_abs_defect`` of ``cross_validate`` with the same grid,
+    without its closed forms and ultralocal points.  Singular grid points
+    are skipped as there.
+    """
+    models, _, phis = _delta_pair_grid(m_max, x_values, phi_values)
+    worst = 0.0
+    for _, _, rm, rt in _solved_points(models, phis, []):
+        worst = max(worst, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect))
+    return worst
+
+
 @dataclass(frozen=True)
 class OracleAgreement:
     passed: bool
@@ -322,12 +369,9 @@ class OracleAgreement:
 def random_tridiagonal_window(rng: np.random.Generator, width: int, lo: int) -> InteractionWindow:
     """Random real tridiagonal window with entries uniform in [-0.9, 0.9]."""
     hi = lo + width - 1
-    entries: dict[tuple[int, int], complex] = {}
-    for i in range(lo, hi + 1):
-        for j in (i - 1, i, i + 1):
-            if lo <= j <= hi:
-                entries[(i, j)] = float(rng.uniform(-0.9, 0.9))
-    return InteractionWindow(lo=lo, hi=hi, entries=entries)
+    sites = [(i, j) for i in range(lo, hi + 1) for j in (i - 1, i, i + 1) if lo <= j <= hi]
+    # One draw of len(sites) values: the values and stream position of as many scalar draws.
+    return InteractionWindow(lo=lo, hi=hi, entries=dict(zip(sites, rng.uniform(-0.9, 0.9, len(sites)).tolist())))
 
 
 def transfer_matching_agreement(
@@ -370,8 +414,8 @@ def transfer_matching_agreement(
         lo = int(rng.integers(-10, 11 - width))
         win = random_tridiagonal_window(rng, width, lo)
         stack = pending.setdefault(width, [])
-        for k in range(angles_per_window):
-            stack.append((w * angles_per_window + k, (win, PhiAngle(float(rng.uniform(0.05, math.pi - 0.05))))))
+        angles = rng.uniform(0.05, math.pi - 0.05, angles_per_window).tolist()
+        stack.extend((w * angles_per_window + k, (win, PhiAngle(phi))) for k, phi in enumerate(angles))
         if len(stack) >= _ORACLE_STACK:
             solve(pending.pop(width))
     for stack in pending.values():

@@ -39,6 +39,7 @@ from .analysis import (
     SweepSpec,
     SweepTable,
     cross_validate,
+    probability_defect,
     run_sweep,
     transfer_matching_agreement,
 )
@@ -353,15 +354,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed = failed or not ok
         print(f"{name:<28} worst {worst:.3e}  tol {args.tol:.1e}  {'PASS' if ok else 'FAIL'}")
 
-    if args.suite in ("closed-forms", "unitarity", "all"):
+    if args.suite in ("closed-forms", "all"):
         # Closed forms exist for separations 1..3 only, so the pass through
         # M_max that checks the defect also yields the closed-form deltas.
         cv = cross_validate(min(3, args.M_max) if args.suite == "closed-forms" else args.M_max, tol=args.tol)
-        if args.suite != "unitarity":
-            worst = max(cv.worst_closed_vs_matching, cv.worst_closed_vs_transfer)
-            report("closed-forms vs solvers", worst, worst <= args.tol)
-        if args.suite != "closed-forms":
-            report("probability-sum defect", cv.worst_abs_defect, cv.worst_abs_defect <= args.tol)
+        worst = max(cv.worst_closed_vs_matching, cv.worst_closed_vs_transfer)
+        report("closed-forms vs solvers", worst, worst <= args.tol)
+    if args.suite in ("unitarity", "all"):
+        defect = cv.worst_abs_defect if args.suite == "all" else probability_defect(args.M_max)
+        report("probability-sum defect", defect, defect <= args.tol)
     if args.suite in ("oracles", "all"):
         agreement = transfer_matching_agreement(tol=args.tol)
         worst = max(agreement.worst_delta_r, agreement.worst_delta_t)

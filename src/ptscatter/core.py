@@ -35,6 +35,10 @@ PT_PAIR = "pt-pair"
 ULTRALOCAL = "ultralocal"
 CUSTOM = "custom"
 PHI_EDGE_GUARD = 1e-8
+# Widest window, in sites, that InteractionWindow accepts.  One angle costs
+# about 12-34 us and 0.7 KB per site to solve, 1.2-3.4 s and ~100 MiB at
+# this width, so a wider window is refused before anything is built.
+MAX_WINDOW_SITES = 100_000
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,9 @@ class InteractionWindow:
     """Finite interaction block W on lattice sites [lo, hi], stored sparsely.
 
     ``entries`` maps site pairs (i, j) to complex values; pairs that are
-    absent count as zero.  Every entry must have a finite modulus, so
-    ``max_abs_entry`` and the solvers' bond checks stay finite.  Entries
+    absent count as zero.  The window spans at most MAX_WINDOW_SITES sites,
+    and every entry must have a finite modulus, so ``max_abs_entry`` and the
+    solvers' bond checks stay finite.  Entries
     equal to exactly zero are dropped on construction, so windows that
     differ only by explicit zero padding of the entry map compare equal.
     The nonzero entries are also indexed by row, in entry order, for
@@ -90,6 +95,9 @@ class InteractionWindow:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"window bounds out of order: lo={self.lo} > hi={self.hi}")
+        sites = self.hi - self.lo + 1
+        if sites > MAX_WINDOW_SITES:
+            raise ValueError(f"window [{self.lo}, {self.hi}] spans {sites} sites; at most {MAX_WINDOW_SITES} are allowed")
         cleaned: dict[tuple[int, int], complex] = {}
         for (i, j), value in self.entries.items():
             if not (self.lo <= i <= self.hi and self.lo <= j <= self.hi):

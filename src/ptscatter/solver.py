@@ -33,7 +33,10 @@ product and a quotient was numpy's complex division.  Numpy's complex
 array product may round differently, so every product here is formed from
 real and imaginary parts (``_cmul``); sums are taken in row order from zero
 and quotients stay numpy complex division, which is the same for arrays and
-scalars.
+scalars.  The plane waves of a chunk come from one ``np.exp`` of a complex
+array with zero real part: numpy's complex exp is the C library's ``cexp``,
+which gives the bits ``cmath.exp`` gives on the same library
+(``tests/test_solver.py::TestPlaneWaves`` pins this).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import InteractionWindow, PhiAngle, ScatteringAmplitudes, plane_wave
+from .core import InteractionWindow, PhiAngle, ScatteringAmplitudes
 from .errors import NotTridiagonal, SingularSystem, SolverError, ZeroHopping
 
 # Relative thresholds: double precision with windows of at most ~100 sites
@@ -261,12 +264,20 @@ def _coefficients(stencils: Sequence[RowStencil], phis: Sequence[float]) -> np.n
 def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequence[tuple[int, int]]) -> np.ndarray:
     """plane_wave(sign * (lo + d), phi) for each point (rows) and each (sign, d) in ``sites`` (columns).
 
-    The waves come from ``cmath`` one at a time, so their bits do not depend
-    on numpy's vector kernels.
+    One ``np.exp`` of the complex array 0 + i*(m*phi): numpy's complex exp
+    is the C library's ``cexp``, which with a zero real part returns the
+    library's cos and sin of m*phi, the bits ``cmath.exp`` gives on the same
+    library.  ``np.cos``/``np.sin`` would not do: their vector kernels make
+    no such promise.  The site m is exact in int64 (object for a window
+    beyond that range), so m*phi rounds as float(m)*phi does.
     """
-    return np.array(
-        [[plane_wave(sign * (s.lo + d), phi) for sign, d in sites] for s, phi in zip(stencils, phis)], dtype=complex
-    )
+    lows = [s.lo for s in stencils]
+    exact = np.int64 if max(map(abs, lows)) < 2**62 else object
+    sign, d = np.array(sites).T
+    m = sign * (np.array(lows, dtype=exact)[:, None] + d)
+    arg = np.zeros(m.shape, dtype=complex)
+    arg.imag = m.astype(float) * np.array(phis)[:, None]
+    return np.exp(arg)
 
 
 def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.ndarray) -> list[float]:

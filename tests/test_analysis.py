@@ -2,20 +2,33 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ptscatter import (
+    CrossValidation,
+    InteractionWindow,
     ModelFamily,
     PhiAngle,
+    SingularSystem,
     SweepSpec,
+    closed_form_amplitudes,
     cross_validate,
     default_coupling_grid,
     default_phi_grid,
     run_sweep,
+    solve_matching_stack,
+    solve_transfer_stack,
     transfer_matching_agreement,
     unitarity_report,
 )
-from ptscatter.analysis import SOLVER_CLOSED_FORM, SOLVER_MATCHING, SOLVER_TRANSFER
+from ptscatter.analysis import (
+    SOLVER_CLOSED_FORM,
+    SOLVER_MATCHING,
+    SOLVER_TRANSFER,
+    probability_defect,
+    random_tridiagonal_window,
+)
 from ptscatter.cli import format_table_csv
 
 
@@ -222,6 +235,81 @@ class TestCrossValidate:
     def test_impossible_tolerance_fails(self):
         result = cross_validate(1, tol=1e-18, x_values=(0.5,), phi_values=default_phi_grid(3))
         assert not result.passed
+
+
+def per_model_cross_validation(m_max, tol, xs, phis):
+    """``cross_validate`` as one stack per model: each model's angles are solved on their own."""
+    models = [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs]
+    models += [ModelFamily.ultralocal(a) for a in xs]
+    worst_cm = worst_ct = worst_mt = worst_defect = 0.0
+    singular = []
+    points = 0
+    for model in models:
+        stack = [(model.window(), phi) for phi in phis]
+        for phi, rm, rt in zip(phis, solve_matching_stack(stack), solve_transfer_stack(stack)):
+            if isinstance(rm, SingularSystem) or isinstance(rt, SingularSystem):
+                if (model.m_sep, model.coupling) not in singular:
+                    singular.append((model.m_sep, model.coupling))
+                break
+            if model.kind == "pt-pair":
+                points += 1
+                worst_mt = max(worst_mt, abs(rm.amplitudes.R - rt.amplitudes.R), abs(rm.amplitudes.T - rt.amplitudes.T))
+                worst_defect = max(worst_defect, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect))
+            if model.m_sep <= 3:
+                cf = closed_form_amplitudes(model, phi)
+                worst_cm = max(worst_cm, abs(cf.R - rm.amplitudes.R), abs(cf.T - rm.amplitudes.T))
+                worst_ct = max(worst_ct, abs(cf.R - rt.amplitudes.R), abs(cf.T - rt.amplitudes.T))
+    return CrossValidation(
+        max(worst_cm, worst_ct, worst_mt, worst_defect) <= tol, tol, m_max, points,
+        worst_cm, worst_ct, worst_mt, worst_defect, tuple(singular),
+    )
+
+
+class TestOracleGroups:
+    """``cross_validate`` streams groups of models into the stacks; the result must not show it."""
+
+    # 60 angles do not divide the 256-point groups, so a group holds 4 models
+    # and |x| = 1 (singular at every angle) falls inside groups.
+    XS = (-0.5, 1.0, 0.25, -1.0, 0.7, 0.9)
+    PHIS = default_phi_grid(60)
+
+    def test_grouped_equals_per_model_reference(self):
+        got = cross_validate(4, tol=1e-9, x_values=self.XS, phi_values=self.PHIS)
+        assert (0, 1.0) in got.singular_points and (4, -1.0) in got.singular_points
+        assert repr(got) == repr(per_model_cross_validation(4, 1e-9, self.XS, self.PHIS))
+
+    @pytest.mark.parametrize("count", [1, 7, 256, 300])
+    def test_any_angle_count(self, count):
+        phis = default_phi_grid(count)
+        got = cross_validate(2, tol=1e-9, x_values=(1.0, 0.3, -1.0), phi_values=phis)
+        assert repr(got) == repr(per_model_cross_validation(2, 1e-9, (1.0, 0.3, -1.0), phis))
+
+    def test_probability_defect_is_the_cross_validation_defect(self):
+        assert probability_defect(4, self.XS, self.PHIS) == cross_validate(4, 1e-9, self.XS, self.PHIS).worst_abs_defect
+
+    def test_probability_defect_rejects_nonpositive_m_max(self):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            probability_defect(0)
+
+
+def scalar_draw_window(rng, width, lo):
+    """``random_tridiagonal_window`` drawing one entry per ``rng.uniform`` call."""
+    hi = lo + width - 1
+    entries = {}
+    for i in range(lo, hi + 1):
+        for j in (i - 1, i, i + 1):
+            if lo <= j <= hi:
+                entries[(i, j)] = float(rng.uniform(-0.9, 0.9))
+    return InteractionWindow(lo=lo, hi=hi, entries=entries)
+
+
+def test_random_window_draws_like_scalar_draws():
+    """One array draw per window gives the scalar draws' entries, in their order, and leaves the stream where they do."""
+    batched, scalar = np.random.default_rng(5), np.random.default_rng(5)
+    for width in range(1, 16):
+        got, expected = random_tridiagonal_window(batched, width, 3 - width), scalar_draw_window(scalar, width, 3 - width)
+        assert list(got.entries.items()) == list(expected.entries.items())
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 BAD_TOLERANCES = [math.nan, math.inf, -math.inf, -1e-9]

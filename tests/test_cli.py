@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ptscatter import cli
+from ptscatter import analysis, cli
 from ptscatter.analysis import OracleAgreement
 from ptscatter.cli import CSV_HEADER, load_window_file, main, parse_int_list, parse_range
+from ptscatter.core import MAX_WINDOW_SITES
 
 GOOD_WINDOW = {
     "lo": -1,
@@ -99,6 +100,10 @@ class TestWindowFile:
         with pytest.raises(ValueError, match="outside"):
             load_window_file(self._write(tmp_path, doc))
 
+    def test_loads_a_window_at_the_cap(self, tmp_path):
+        win = load_window_file(self._write(tmp_path, {"lo": 3, "hi": MAX_WINDOW_SITES + 2, "entries": []}))
+        assert win.hi - win.lo + 1 == MAX_WINDOW_SITES
+
     def test_rejects_missing_fields(self, tmp_path):
         with pytest.raises(ValueError, match="missing field"):
             load_window_file(self._write(tmp_path, {"lo": 0, "hi": 1}))
@@ -143,7 +148,8 @@ PART = json_token(st.floats(min_value=-2.0, max_value=2.0).map(json.dumps), json
 
 @st.composite
 def window_documents(draw):
-    """Window file text; the width stays at most 64 sites, since nothing caps it."""
+    """Window file text; the width stays at most 64 sites so that each solve is quick (the
+    MAX_WINDOW_SITES cap has its own tests)."""
     lo = draw(st.integers(min_value=-8, max_value=8))
     hi = lo + draw(st.integers(min_value=-1, max_value=64))
     site = st.integers(min_value=lo, max_value=max(lo, min(hi, lo + 4))).map(str)
@@ -235,6 +241,19 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ptscatter: error: entry (0, 0) = (1.5e+308+1.5e+308j) must have a finite modulus\n"
+
+    @pytest.mark.parametrize("command", [["solve", "--phi", "1.0"], ["sweep", "--phi-range", "1:1:1"], ["check-pt"]])
+    def test_window_wider_than_the_cap_exits_one(self, tmp_path, capsys, command):
+        """One site beyond MAX_WINDOW_SITES is refused before anything is built or solved."""
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"lo": -7, "hi": MAX_WINDOW_SITES - 7, "entries": [{"i": 0, "j": 0, "re": 0.5}]}))
+        assert main([command[0], "--model", "custom", "--window", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ptscatter: error: window [-7, {MAX_WINDOW_SITES - 7}] spans {MAX_WINDOW_SITES + 1} sites; "
+            f"at most {MAX_WINDOW_SITES} are allowed\n"
+        )
 
     def test_missing_window_file_exits_one(self):
         assert main(["solve", "--model", "custom", "--window", "/no/such/file.json", "--phi", "1.0"]) == 1
@@ -348,6 +367,25 @@ class TestVerifyCommand:
     def test_oracles_suite_passes(self, capsys):
         assert main(["verify", "--suite", "oracles"]) == 0
         assert "matching vs transfer" in capsys.readouterr().out
+
+    def test_unitarity_suite_solves_only_the_delta_pairs(self, monkeypatch, capsys):
+        """The defect line needs no closed form and no ultralocal point."""
+        closed_forms, windows = [], []
+        monkeypatch.setattr(analysis, "closed_form_amplitudes", lambda *args: closed_forms.append(args))
+        for name in ("solve_matching_stack", "solve_transfer_stack"):
+            stack = getattr(analysis, name)
+
+            def recording(points, stack=stack):
+                points = list(points)
+                windows.extend(win for win, _ in points)
+                return stack(points)
+
+            monkeypatch.setattr(analysis, name, recording)
+        assert main(["verify", "--suite", "unitarity", "--M-max", "4"]) == 0
+        assert "probability-sum defect" in capsys.readouterr().out
+        assert closed_forms == []
+        assert len(windows) == 2 * 4 * 19 * 50
+        assert all(win.lo == -win.hi for win in windows)  # delta pairs span [-M, M]; the ultralocal block [0, 1]
 
     @pytest.fixture
     def counted_verify(self, monkeypatch):

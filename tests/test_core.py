@@ -17,6 +17,7 @@ from ptscatter import (
     is_pt_symmetric,
     pt_conjugate,
 )
+from ptscatter.core import MAX_WINDOW_SITES
 
 
 class TestPhiAngle:
@@ -70,6 +71,14 @@ class TestInteractionWindow:
     def test_accepts_the_largest_finite_modulus(self):
         value = complex(1.2e308, 1.2e308)  # |value| ~ 1.7e308, each part and the modulus finite
         assert InteractionWindow(lo=0, hi=0, entries={(0, 0): value}).max_abs_entry() == abs(value)
+
+    def test_accepts_a_window_at_the_width_cap(self):
+        win = InteractionWindow(lo=-50, hi=MAX_WINDOW_SITES - 51, entries={(-50, -50): 1.0})
+        assert win.hi - win.lo + 1 == MAX_WINDOW_SITES
+
+    def test_rejects_a_window_beyond_the_width_cap(self):
+        with pytest.raises(ValueError, match=f"spans {MAX_WINDOW_SITES + 1} sites; at most {MAX_WINDOW_SITES}"):
+            InteractionWindow(lo=-50, hi=MAX_WINDOW_SITES - 50)
 
     def test_absent_pairs_read_as_zero(self):
         win = InteractionWindow(lo=0, hi=2, entries={(0, 1): 2.0})
@@ -160,6 +169,12 @@ class TestPTSymmetry:
             }
             win = InteractionWindow(lo=-3, hi=3, entries=entries)
             assert pt_conjugate(pt_conjugate(win)) == win
+
+    def test_pt_conjugate_of_a_narrow_window_far_out_exceeds_the_cap(self):
+        """The image spans [-n, n] with n = max(|lo|, |hi|), so one site at n = 50000 is already too wide."""
+        far = InteractionWindow(lo=50_000, hi=50_000, entries={(50_000, 50_000): 1.0})
+        with pytest.raises(ValueError, match=f"spans 100001 sites; at most {MAX_WINDOW_SITES}"):
+            pt_conjugate(far)
 
 
 class TestModelFamily:

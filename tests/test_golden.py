@@ -3,13 +3,15 @@
 Each case reruns a command through ``cli.main`` and compares its stdout with
 a file under ``tests/data/golden/`` that an earlier version wrote.  A change
 that moves any printed digit, column or key fails here, so keep these files
-unless an output change is intended.
+unless an output change is intended.  ``verify_oracles.txt`` holds the
+``repr`` of both oracles' results, written the same way.
 """
 
 from pathlib import Path
 
 import pytest
 
+from ptscatter.analysis import cross_validate, transfer_matching_agreement
 from ptscatter.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -67,3 +69,10 @@ CASES = (
 def test_output_matches_golden_file(name, argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (DATA / "golden" / name).read_bytes()
+
+
+def test_oracle_results_match_golden_file():
+    """Both oracles at full precision: ``verify`` prints three digits of each, so a
+    batching change that drops or reorders points would pass the CLI cases above."""
+    text = f"{cross_validate(8)!r}\n{transfer_matching_agreement()!r}\n"
+    assert text == (DATA / "golden" / "verify_oracles.txt").read_text(encoding="utf-8")

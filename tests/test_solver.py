@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from ptscatter import (
     solve_transfer_matrix,
 )
 from ptscatter.analysis import random_tridiagonal_window
+from ptscatter.core import MAX_WINDOW_SITES, PHI_EDGE_GUARD, plane_wave
+from ptscatter.solver import _waves
 
 BOTH_SOLVERS = pytest.mark.parametrize("solve", [solve_matching, solve_transfer_matrix])
 
@@ -339,3 +342,26 @@ class TestResidual:
             residual(wide_win, PhiAngle(1.0), report.psi)
         with pytest.raises(ValueError):
             residual(small_win, PhiAngle(1.0), solve_matching(wide_win, PhiAngle(1.0)).psi)
+
+
+class TestPlaneWaves:
+    """The stacks' plane waves, one ``np.exp`` per chunk, against ``plane_wave`` (``cmath.exp``) bit for bit."""
+
+    SITES = ((1, 0), (-1, 0), (1, -2), (-1, -2), (1, 3))  # (sign, d): site sign * (lo + d)
+
+    def check(self, lows, phis):
+        waves = _waves([SimpleNamespace(lo=lo) for lo in lows], phis, self.SITES)
+        expected = [[plane_wave(sign * (lo + d), phi) for sign, d in self.SITES] for lo, phi in zip(lows, phis)]
+        assert waves.tobytes() == np.array(expected, dtype=complex).tobytes()
+
+    def test_seeded_sites_and_angles(self):
+        rng = np.random.default_rng(20261020)
+        lows = rng.integers(-MAX_WINDOW_SITES, MAX_WINDOW_SITES + 1, 20000).tolist()
+        phis = rng.uniform(PHI_EDGE_GUARD, math.pi - PHI_EDGE_GUARD, 20000).tolist()
+        # Site 0 (lo = 0 at d = 0), the widest sites, and both angle edges.
+        lows[:6] = [0, 0, MAX_WINDOW_SITES, -MAX_WINDOW_SITES, MAX_WINDOW_SITES, -MAX_WINDOW_SITES]
+        phis[:6] = [PHI_EDGE_GUARD, math.pi - PHI_EDGE_GUARD] * 3
+        self.check(lows, phis)
+
+    def test_sites_beyond_int64(self):
+        self.check([2**70, -(2**63), 5], [1.0, 0.3, 2.9])
