@@ -254,6 +254,7 @@ def _delta_pair_grid(
     """The delta pairs of separations 1..m_max over the couplings, the couplings and the angles."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max!r}")
+    ModelFamily.pt_delta_pair(m_max, 0.0)  # a separation past the width cap raises before the grid is made
     xs = tuple(x_values) if x_values is not None else default_coupling_grid()
     phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
     return [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs], xs, phis
@@ -338,18 +339,14 @@ def cross_validate(
     )
 
 
-def probability_defect(
-    m_max: int,
-    x_values: Sequence[float] | None = None,
-    phi_values: Sequence[PhiAngle] | None = None,
-) -> float:
+def probability_defect(m_max: int) -> float:
     """Worst |(|R|^2 + |T|^2) - 1| of both solvers over the delta pairs of separations 1..m_max.
 
-    The ``worst_abs_defect`` of ``cross_validate`` with the same grid,
-    without its closed forms and ultralocal points.  Singular grid points
-    are skipped as there.
+    The ``worst_abs_defect`` of ``cross_validate(m_max)`` on the default
+    grids, without its closed forms and ultralocal points.  Singular grid
+    points are skipped as there.
     """
-    models, _, phis = _delta_pair_grid(m_max, x_values, phi_values)
+    models, _, phis = _delta_pair_grid(m_max, None, None)
     worst = 0.0
     for _, _, rm, rt in _solved_points(models, phis, []):
         worst = max(worst, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect))

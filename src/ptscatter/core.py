@@ -190,6 +190,10 @@ class ModelFamily:
     def pt_delta_pair(cls, m_sep: int, x: float) -> ModelFamily:
         if m_sep < 1:
             raise ValueError(f"separation must be a positive integer, got {m_sep!r}")
+        # Checked here rather than when the window is built, so a sweep or a
+        # verify run past the cap fails before it solves anything.
+        if 2 * m_sep + 1 > MAX_WINDOW_SITES:
+            raise ValueError(f"separation {m_sep} spans {2 * m_sep + 1} sites; at most {MAX_WINDOW_SITES} are allowed")
         return cls(PT_PAIR, m_sep, _finite_coupling(x))
 
     @classmethod

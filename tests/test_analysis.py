@@ -285,7 +285,7 @@ class TestOracleGroups:
         assert repr(got) == repr(per_model_cross_validation(2, 1e-9, (1.0, 0.3, -1.0), phis))
 
     def test_probability_defect_is_the_cross_validation_defect(self):
-        assert probability_defect(4, self.XS, self.PHIS) == cross_validate(4, 1e-9, self.XS, self.PHIS).worst_abs_defect
+        assert probability_defect(3) == cross_validate(3).worst_abs_defect
 
     def test_probability_defect_rejects_nonpositive_m_max(self):
         with pytest.raises(ValueError, match="m_max must be >= 1"):

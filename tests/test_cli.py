@@ -100,10 +100,6 @@ class TestWindowFile:
         with pytest.raises(ValueError, match="outside"):
             load_window_file(self._write(tmp_path, doc))
 
-    def test_loads_a_window_at_the_cap(self, tmp_path):
-        win = load_window_file(self._write(tmp_path, {"lo": 3, "hi": MAX_WINDOW_SITES + 2, "entries": []}))
-        assert win.hi - win.lo + 1 == MAX_WINDOW_SITES
-
     def test_rejects_missing_fields(self, tmp_path):
         with pytest.raises(ValueError, match="missing field"):
             load_window_file(self._write(tmp_path, {"lo": 0, "hi": 1}))
@@ -254,6 +250,28 @@ class TestSolveCommand:
             f"ptscatter: error: window [-7, {MAX_WINDOW_SITES - 7}] spans {MAX_WINDOW_SITES + 1} sites; "
             f"at most {MAX_WINDOW_SITES} are allowed\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--model", "pt-pair", "--M", "50000", "--x", "0.2", "--phi", "1.0"],
+            ["sweep", "--model", "pt-pair", "--M-list", "1,50000", "--x-range", "0:0:1", "--phi-range", "1:1:1"],
+            ["verify", "--suite", "all", "--M-max", "50000"],
+            ["verify", "--suite", "unitarity", "--M-max", "50000"],
+        ],
+    )
+    def test_pt_pair_wider_than_the_cap_exits_one_before_solving(self, monkeypatch, capsys, argv):
+        """Separation 50000 spans MAX_WINDOW_SITES + 1 sites; no model of the run is solved."""
+        stacks = []
+        for name in ("solve_matching_stack", "solve_transfer_stack"):
+            monkeypatch.setattr(analysis, name, lambda points: stacks.append(points))
+        for name in ("solve_matching", "solve_transfer_matrix"):
+            monkeypatch.setattr(cli, name, lambda *args: stacks.append(args))
+        assert main(argv) == 1
+        assert stacks == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ptscatter: error: separation 50000 spans 100001 sites; at most {MAX_WINDOW_SITES} are allowed\n"
 
     def test_missing_window_file_exits_one(self):
         assert main(["solve", "--model", "custom", "--window", "/no/such/file.json", "--phi", "1.0"]) == 1

@@ -199,6 +199,10 @@ class TestModelFamily:
         for m_sep in (0, -1):
             with pytest.raises(ValueError, match="separation"):
                 ModelFamily.pt_delta_pair(m_sep, 0.1)
+        widest = (MAX_WINDOW_SITES - 1) // 2
+        assert ModelFamily.pt_delta_pair(widest, 0.1).m_sep == widest
+        with pytest.raises(ValueError, match=f"separation {widest + 1} spans {2 * widest + 3} sites"):
+            ModelFamily.pt_delta_pair(widest + 1, 0.1)
         for coupling in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 ModelFamily.pt_delta_pair(1, coupling)
