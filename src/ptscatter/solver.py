@@ -1,11 +1,15 @@
 """
 Two independent numerical solvers for the scattering amplitudes R, T.
 
-``solve_matching`` writes one Schroedinger row per window site, substitutes
-the asymptotic plane-wave forms (anchored exactly at the window edges lo and
-hi), and solves the resulting complex system for the unknown vector
-[R, psi[lo+1], ..., psi[hi-1], T].  It works for any finite window.  The
-system is banded by the window's reach.
+``solve_matching`` solves the window's own Schroedinger rows lo .. hi for
+the samples psi[lo..hi], in the self-energy form of Fisher & Lee (PRB 23,
+6851, 1981) and Lent & Kirkner (J. Appl. Phys. 67, 6353, 1990): the leads
+enter through the relations psi[lo-1] = e^{i phi} psi[lo] - 2i sin(phi)
+e^{i phi lo} and psi[hi+1] = e^{i phi} psi[hi], which put e^{i phi} times
+the hop on the corner cells (lo, lo) and (hi, hi) and the incident wave in
+the rhs of row lo.  The system (E - H - Sigma) psi = b works for any finite
+window and is banded by the window's reach; T = psi[hi] e^{-i phi hi} and
+R = (psi[lo] - e^{i phi lo}) e^{i phi lo} are read off its edge samples.
 
 ``solve_transfer_matrix`` back-substitutes through the rows of a tridiagonal
 total Hamiltonian: starting from a provisional transmitted wave psi[m] =
@@ -25,18 +29,8 @@ recursion (one Python step per row, acting on all points), then the
 residual.  The single-point functions are stacks of one.
 Every report carries the wavefunction on [lo-2, hi+2] and the maximum row
 residual over [lo-1, hi+1], checked against RESIDUAL_RTOL * (1 + max |W|)
-before the solve is declared successful.
-
-The stacks keep the bits of the per-point arithmetic they replaced, in which
-a product of two complex numbers was CPython's (or numpy's scalar) complex
-product and a quotient was numpy's complex division.  Numpy's complex
-array product may round differently, so every product here is formed from
-real and imaginary parts (``_cmul``); sums are taken in row order from zero
-and quotients stay numpy complex division, which is the same for arrays and
-scalars.  The plane waves of a chunk come from one ``np.exp`` of a complex
-array with zero real part: numpy's complex exp is the C library's ``cexp``,
-which gives the bits ``cmath.exp`` gives on the same library
-(``tests/test_solver.py::TestPlaneWaves`` pins this).
+before the solve is declared successful.  Both routes lose accuracy as
+eps / sin(phi) towards the band edges, where the two plane waves merge.
 """
 
 from __future__ import annotations
@@ -183,10 +177,8 @@ def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple
     bring in.  Every entry outside -lower <= c - r <= upper must be zero.
     Column k searches its pivot in rows k .. k+lower only and updates rows
     k+1 .. k+lower, columns k+1 .. k+lower+upper; the full elimination only
-    adds zeros elsewhere, so every stored entry gets the same bits.
-    Back-substitution keeps each inner product at full row length, zeros
-    included: a product shortened to the band sums in another order and
-    changes the last bits.  ``band`` and ``b`` are overwritten.
+    adds zeros elsewhere.  Back-substitution takes each inner product over
+    the band.  ``band`` and ``b`` are overwritten.
 
     Returns the solutions, shape (count, n), and {p: SingularSystem} for the
     systems that failed, with the message of the first check that fails.  A
@@ -219,13 +211,9 @@ def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple
                 b[:, k + 1 : row_end] -= mult * b[:, k : k + 1]
 
         x = np.zeros((count, n), dtype=complex)
-        row = np.zeros((count, n), dtype=complex)
         for k in range(n - 1, -1, -1):
             col_end = min(k + lower + upper + 1, n)
-            row[:, k + 1 : col_end] = a[:, k, k + 1 : col_end]
-            if col_end < n:
-                row[:, col_end] = 0.0
-            dot = np.matmul(row[:, None, k + 1 :], x[:, k + 1 :, None])[:, 0, 0]
+            dot = (a[:, k, k + 1 : col_end] * x[:, k + 1 : col_end]).sum(axis=1)
             x[:, k] = (b[:, k] - dot) / a[:, k, k]
 
         # Row k is final once column k is eliminated, so the diagonal holds
@@ -243,17 +231,6 @@ def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple
     return x, failures
 
 
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise with the roundings of CPython's complex product:
-    (ar*br - ai*bi) + i(ar*bi + ai*br), each product rounded on its own."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    re = ar * br - ai * bi
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = ar * bi + ai * br
-    return out
-
-
 def _coefficients(stencils: Sequence[RowStencil], phis: Sequence[float]) -> np.ndarray:
     """Row coefficients of every point, shape (P, rows, terms), 2*cos(phi) added at slot _DIAG."""
     coeffs = np.array([s.coeffs for s in stencils])
@@ -264,12 +241,9 @@ def _coefficients(stencils: Sequence[RowStencil], phis: Sequence[float]) -> np.n
 def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequence[tuple[int, int]]) -> np.ndarray:
     """plane_wave(sign * (lo + d), phi) for each point (rows) and each (sign, d) in ``sites`` (columns).
 
-    One ``np.exp`` of the complex array 0 + i*(m*phi): numpy's complex exp
-    is the C library's ``cexp``, which with a zero real part returns the
-    library's cos and sin of m*phi, the bits ``cmath.exp`` gives on the same
-    library.  ``np.cos``/``np.sin`` would not do: their vector kernels make
-    no such promise.  The site m is exact in int64 (object for a window
-    beyond that range), so m*phi rounds as float(m)*phi does.
+    One ``np.exp`` of the complex array 0 + i*(m*phi).  The site m is exact
+    in int64 (object for a window beyond that range), so m*phi rounds as
+    float(m)*phi does.
     """
     lows = [s.lo for s in stencils]
     exact = np.int64 if max(map(abs, lows)) < 2**62 else object
@@ -283,23 +257,15 @@ def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequenc
 def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.ndarray) -> list[float]:
     """Max row residual over rows lo-1 .. hi+1 of each point's psi.
 
-    ``psi`` has shape (P, rows + 2), samples on [lo-2, hi+2].  Each row sums
-    its products from zero in stencil order and takes the modulus with
-    hypot, as CPython's complex arithmetic on the samples does.  A NaN row
+    ``psi`` has shape (P, rows + 2), samples on [lo-2, hi+2].  A NaN row
     makes the result NaN, so it fails every tolerance check; a row whose
     modulus lies beyond the float range gives inf.
     """
-    rows = len(shape)
-    terms = _cmul(coeffs[:, :, :3], psi[:, _base_sites(rows)])  # columns m-1, m, m+1 of every row
-    total = 0.0 + terms[:, :, 0]
-    total += terms[:, :, 1]
-    total += terms[:, :, 2]
-    del terms
+    # Columns m-1, m, m+1 of every row, then the window's longer-range terms.
+    total = (coeffs[:, :, :3] * psi[:, _base_sites(len(shape))]).sum(axis=2)
     for k, t, sites in _layout(shape)[1]:
-        total[:, t] += _cmul(coeffs[:, t, k], psi[:, sites])
-    worst = np.hypot(total.real, total.imag).max(axis=1)
-    worst[np.isnan(worst)] = math.nan  # CPython's abs gives this NaN whatever the parts' NaN bits
-    return worst.tolist()
+        total[:, t] += coeffs[:, t, k] * psi[:, sites]
+    return np.abs(total).max(axis=1).tolist()
 
 
 def _reports(
@@ -360,8 +326,8 @@ def _solve(
             yield from (type(key)(*key.args) for _ in run)
             continue
         # Per point: the stored band (3*reach + 1 complex per row), its
-        # magnitudes and update temporaries, then the rhs, solution and row
-        # buffer of the matching elimination, which needs the most.
+        # magnitudes and update temporaries, then the rhs, solution and psi
+        # of the matching elimination, which needs the most.
         chunk = max(1, _STACK_BYTES // (16 * len(key) * (2 * (3 * _layout(key)[0] + 1) + 4)))
         while part := list(itertools.islice(run, chunk)):
             stencils, phis = zip(*part)
@@ -387,71 +353,56 @@ def _matching_blocker(win: InteractionWindow) -> SolverError | None:
 def _matching_layout(shape: tuple[tuple[int, ...], ...]) -> tuple:
     """Where the stencil terms of one shape land in the matching band store.
 
-    Matrix row r is lattice row m = lo + r, stencil row r + 1; a single site
-    gets a free row.  A column strictly inside (lo, lo+n-1) takes its
-    coefficient as it stands.  A column j at or left of lo adds
-    c * plane_wave(-j) to column 0 and subtracts c * plane_wave(j) from the
-    rhs; one at or right of the anchor lo+n-1 adds c * plane_wave(j) to
-    column n-1.
+    Matrix row r is lattice row m = lo + r, stencil row r + 1, and column c
+    is site lo + c.  Every term of rows lo .. hi on a site in [lo, hi] is
+    stored as it stands; the two hops out of the window, row lo's to lo - 1
+    (its term 0) and row hi's to hi + 1 (its term 2), are the lead's and go
+    through ``_assemble``.
 
-    Returns n, the band reach, the (row, slot) cells and (stencil row, term)
-    coefficients of the interior terms, then for the edge terms in stencil
-    order their (stencil row, term) coefficients and ``_matching_waves``
-    columns, the (row, slot) anchor cells the first of them add to and the
-    rhs rows the rest subtract from.
+    Returns n = hi - lo + 1, the band reach, and the (row, slot) cells and
+    (stencil row, term) coefficients of the stored terms.
     """
-    n = max(len(shape) - 3, 1) + 1
+    n = len(shape) - 2
     reach = min(_layout(shape)[0], n - 1)
-    inner, to_a, to_b = [], [], []
-    for r in range(n):
-        for k, offset in enumerate(shape[r + 1]):
-            col = r + offset  # column j - lo
-            if col <= 0:
-                to_a.append((r + 1, k, col + 5, r, reach - r))
-                to_b.append((r + 1, k, col + 2, r))
-            elif col >= n - 1:
-                to_a.append((r + 1, k, col - n + 7, r, n - 1 - r + reach))
-            else:
-                inner.append((r, offset + reach, r + 1, k))
-    inner_row, inner_slot, inner_t, inner_k = np.array(inner, dtype=int).reshape(-1, 4).T
-    edge_t, edge_k, edge_wave = np.array([term[:3] for term in to_a + to_b]).T
-    a_row, a_slot = np.array([term[3:] for term in to_a]).T
-    b_row = np.array([term[3] for term in to_b])
-    return n, reach, (inner_row, inner_slot), (inner_t, inner_k), (edge_t, edge_k), edge_wave, (a_row, a_slot), b_row
+    cells = [(r, offset + reach, r + 1, k)
+             for r in range(n) for k, offset in enumerate(shape[r + 1]) if 0 <= r + offset < n]
+    row, slot, t, k = np.array(cells).T
+    return n, reach, (row, slot), (t, k)
 
 
-def _matching_waves(stencils: Sequence[RowStencil], phis: Sequence[float], n: int) -> np.ndarray:
-    """Columns: plane_wave(m) for m = lo-2 .. lo (0-2), plane_wave(-m) for the same m (3-5),
-    then plane_wave(m) for m = lo+n-1 (the right anchor) .. hi+2 (6 on)."""
-    width = stencils[0].hi - stencils[0].lo
-    sites = [(1, d) for d in (-2, -1, 0)] + [(-1, d) for d in (-2, -1, 0)]
-    return _waves(stencils, phis, sites + [(1, d) for d in range(n - 1, width + 3)])
+def _leads(stencils: Sequence[RowStencil], phis: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point: e^{i phi}, 2i sin(phi), and the columns e^{i phi lo}, e^{i phi (lo-1)}, e^{-i phi hi}."""
+    step = np.exp(1j * np.array(phis))
+    return step, 2j * step.imag, _waves(stencils, phis, ((1, 0), (1, -1), (-1, n - 1)))
 
 
-def _assemble(layout: tuple, coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Band store and rhs of the matching systems, unknowns u = [R, psi[lo+1..hi-1], T].
+def _assemble(layout: tuple, coeffs: np.ndarray, step: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Band store and rhs of (E - H - Sigma) psi = b, unknowns psi[lo..hi].
 
-    Each anchor cell sums its products from zero in stencil order, as the
-    per-entry ``+=`` of a dense build did.
+    A hop c out of the window is replaced by its lead relation:
+    psi[lo-1] = e^{i phi} psi[lo] - source and psi[hi+1] = e^{i phi} psi[hi],
+    ``step`` being e^{i phi} and ``source`` 2i sin(phi) e^{i phi lo}.  So
+    c e^{i phi} is added to the diagonal cells (lo, lo) and (hi, hi), the
+    same cell for a single site, and row lo gets the rhs c * source.
     """
-    n, reach, inner_cells, inner_terms, edge_terms, edge_waves, a_cells, b_rows = layout
+    n, reach, cells, terms = layout
     every = slice(None)
     band = np.zeros((len(coeffs), n, 3 * reach + 1), dtype=complex)
+    band[(every, *cells)] = coeffs[(every, *terms)]
+    band[:, 0, reach] += coeffs[:, 1, 0] * step
+    band[:, n - 1, reach] += coeffs[:, n, 2] * step
     b = np.zeros((len(coeffs), n), dtype=complex)
-    band[(every, *inner_cells)] = coeffs[(every, *inner_terms)]
-    edge = _cmul(coeffs[(every, *edge_terms)], waves[:, edge_waves])
-    np.add.at(band, (every, *a_cells), edge[:, : a_cells[0].size])
-    np.subtract.at(b, (every, b_rows), edge[:, a_cells[0].size :])
+    b[:, 0] = coeffs[:, 1, 0] * source
     return band, b
 
 
 def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix A and right-hand side b of the matching system A u = b, u = [R, psi[lo+1..hi-1], T]."""
+    """Matrix E - H - Sigma and right-hand side b of the matching system, unknowns psi[lo..hi]."""
     stencil = row_stencil(win)
     layout = _matching_layout(stencil.shape)
-    coeffs = _coefficients([stencil], [phi.phi])
     n, reach = layout[:2]
-    band, b = _assemble(layout, coeffs, _matching_waves([stencil], [phi.phi], n))
+    step, two_sin, waves = _leads([stencil], [phi.phi], n)
+    band, b = _assemble(layout, _coefficients([stencil], [phi.phi]), step, two_sin * waves[:, 0])
     # Slot s of row r holds column r + s - reach: column index r + s of a
     # matrix with reach spare columns on the left.
     a = np.zeros((n, n + 3 * reach), dtype=complex)
@@ -464,16 +415,19 @@ def _matching_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> li
     layout = _matching_layout(stencils[0].shape)
     n, reach = layout[:2]
     coeffs = _coefficients(stencils, phis)
-    waves = _matching_waves(stencils, phis, n)
-    u, failures = _eliminate(*_assemble(layout, coeffs, waves), reach, reach)
-    # psi on [lo-2, hi+2]: the incident plus reflected wave up to lo, the
-    # interior unknowns, the transmitted wave from the right anchor on.
-    scattered = _cmul(u[:, [0, 0, 0] + [n - 1] * (waves.shape[1] - 6)], waves[:, 3:])
-    psi = np.empty((len(stencils), len(stencils[0].shape) + 2), dtype=complex)
-    psi[:, :3] = waves[:, :3] + scattered[:, :3]
-    psi[:, 3 : n + 1] = u[:, 1 : n - 1]
-    psi[:, n + 1 :] = scattered[:, 3:]
-    return _reports(stencils, coeffs, psi, u[:, 0].tolist(), u[:, -1].tolist(), failures)
+    step, two_sin, waves = _leads(stencils, phis, n)
+    source = two_sin * waves[:, 0]
+    x, failures = _eliminate(*_assemble(layout, coeffs, step, source), reach, reach)
+    # psi on [lo-2, hi+2]: the solution, extended by the lead relations.
+    psi = np.empty((len(stencils), n + 4), dtype=complex)
+    psi[:, 2 : n + 2] = x
+    psi[:, 1] = step * x[:, 0] - source
+    psi[:, 0] = step * psi[:, 1] - two_sin * waves[:, 1]
+    psi[:, n + 2] = step * x[:, -1]
+    psi[:, n + 3] = step * psi[:, n + 2]
+    big_r = (x[:, 0] - waves[:, 0]) * waves[:, 0]
+    big_t = x[:, -1] * waves[:, 2]
+    return _reports(stencils, coeffs, psi, big_r.tolist(), big_t.tolist(), failures)
 
 
 def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
@@ -485,9 +439,8 @@ def solve_matching_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     """Matching solutions of (window, angle) points, any iterable, in the order given.
 
     Yields, per point, the report ``solve_matching(win, phi)`` returns or the
-    exception it raises, with the same bits and message.  Consecutive points
-    whose windows share a stencil shape share one band, the window's reach
-    (at least 1), and are assembled and eliminated together.
+    exception it raises.  Consecutive points whose windows share a stencil
+    shape share one band and are assembled and eliminated together.
     """
     return _solve(points, _matching_blocker, _matching_chunk)
 
@@ -510,21 +463,12 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
     psi = np.zeros((count, rows + 2), dtype=complex)
     psi[:, -3:] = waves
     scale_exp = np.zeros(count, dtype=int)  # psi holds the wavefunction times 2**-scale_exp
-    # A product c*s is [cr, cr]*[sr, si] + [-ci, ci]*[si, sr] on [re, im]
-    # pairs: CPython's two rounded products per part, in three array
-    # operations.  Row t's pairs for its terms at sites m and m+1:
-    c = coeffs[:, :, 1:3].transpose(1, 0, 2)
-    same = np.empty(c.shape + (2,))
-    same[..., 0] = same[..., 1] = c.real
-    cross = np.empty(c.shape + (2,))
-    cross[..., 0] = -c.imag
-    cross[..., 1] = c.imag
-    c_sub = coeffs[:, :, 0].T.copy()
-    pairs = psi.view(float).reshape(count, rows + 2, 2)
+    # Row t's coefficients at sites m-1, m and m+1, one row of points each.
+    c_sub, c_m, c_next = coeffs[:, :, :3].transpose(2, 1, 0).copy()
     # |psi[m-1]| <= (|c_m| |psi[m]| + |c_m+1| |psi[m+1]|) / |c_sub|: until this
     # bound, with room for rounding, passes _RESCALE_ABOVE / 2 no sample can
     # need the rescale, so rows above ``check_below`` skip the test.
-    growth = ((np.abs(c[:, :, 0]) + np.abs(c[:, :, 1])) / np.abs(c_sub)).max(axis=1).tolist()
+    growth = ((np.abs(c_m) + np.abs(c_next)) / np.abs(c_sub)).max(axis=1).tolist()
     bound, check_below = 1.000001, -1  # plane waves have modulus 1
     for t in range(rows - 2, -1, -1):
         if not growth[t] <= 1.0:
@@ -534,15 +478,10 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
             break
     # Row m = lo-1+t, from hi down to lo-1, gives psi[m-1] (index t) from psi[m] and psi[m+1].
     for t in range(rows - 2, -1, -1):
-        s = pairs[:, t + 1 : t + 3]
-        terms = same[t] * s
-        terms += cross[t] * s[:, :, ::-1]
-        total = terms[:, 0] + 0.0
-        total += terms[:, 1]
-        value = np.negative(total).view(complex)[:, 0] / c_sub[t]
+        value = -(c_m[t] * psi[:, t + 1] + c_next[t] * psi[:, t + 2]) / c_sub[t]
         psi[:, t] = value
         if t <= check_below and not np.abs(value.view(float)).max() <= _RESCALE_ABOVE / 2:
-            size = np.hypot(value.real, value.imag)
+            size = np.abs(value)
             for p in np.flatnonzero(size > _RESCALE_ABOVE).tolist():
                 e = math.frexp(size[p])[1]
                 psi[p] *= 2.0**-e
@@ -557,11 +496,11 @@ def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> li
     psi, scale_exp = _back_substitute(coeffs, waves[:, :3])
 
     # Fit psi at the two left-most free sites to alpha*e^{i m phi} + beta*e^{-i m phi}.
-    fit = _cmul(psi[:, [1, 0, 0, 1]], waves[:, 3:])  # sites lo-1, lo-2, lo-2, lo-1
+    fit = psi[:, [1, 0, 0, 1]] * waves[:, 3:]  # sites lo-1, lo-2, lo-2, lo-1
     det = np.array([[2j * math.sin(phi)] for phi in phis])
     alpha, beta = ((fit[:, ::2] - fit[:, 1::2]) / det).T
-    sample = np.maximum(np.hypot(psi[:, :2].real, psi[:, :2].imag).max(axis=1), 1.0)
-    vanishes = np.hypot(alpha.real, alpha.imag) <= PIVOT_RTOL * sample
+    sample = np.maximum(np.abs(psi[:, :2]).max(axis=1), 1.0)
+    vanishes = np.abs(alpha) <= PIVOT_RTOL * sample
     message = "incident amplitude vanishes (spectral singularity)"
     failures = {p: SingularSystem(message) for p in np.flatnonzero(vanishes).tolist()}
 
@@ -586,9 +525,9 @@ def solve_transfer_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     """Transfer-recursion solutions of (window, angle) points, any iterable, in the order given.
 
     Yields, per point, the report ``solve_transfer_matrix(win, phi)`` returns
-    or the exception it raises, with the same bits and message.  The
-    recursion takes one step per row for every point of a run of one
-    stencil shape at once; psi is rescaled per point.
+    or the exception it raises.  The recursion takes one step per row for
+    every point of a run of one stencil shape at once; psi is rescaled per
+    point.
     """
     return _solve(points, _transfer_blocker, _transfer_chunk)
 
@@ -596,8 +535,7 @@ def solve_transfer_stack(points: Iterable[Point]) -> Iterator[Outcome]:
 def residual(win: InteractionWindow, phi: PhiAngle, psi: np.ndarray) -> float:
     """Max row residual of the lattice equation over rows [lo-1, hi+1].
 
-    ``psi`` holds the wavefunction on [lo-2, hi+2].  The arithmetic is
-    CPython's complex arithmetic on the samples.  A row whose residual is NaN
+    ``psi`` holds the wavefunction on [lo-2, hi+2].  A row whose residual is NaN
     makes the result NaN, so it fails every tolerance check; a row whose
     modulus lies beyond the float range gives inf.
     """

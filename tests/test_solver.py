@@ -201,22 +201,15 @@ class TestSingularInputs:
                 assert abs(rt.R - rm.R) <= 1e-12
                 assert abs(rt.T - rm.T) <= 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="matching's residual gate scales with max|W|, not with the row terms it guards; see ROADMAP item 3",
-    )
     def test_matching_keeps_relative_accuracy_on_strong_barriers(self):
-        # One site W[0, 0] = V has T = 2i sin(phi) / (2i sin(phi) - V) exactly.
+        # One site W[0, 0] = V has T = 2i sin(phi) / (2i sin(phi) - V) exactly;
+        # matching solves for psi[lo..hi] directly, so no cancelling sum feeds T.
         phi = PhiAngle(1.0)
-        for barrier in (1e15, 1e200):
+        for barrier in (1e3, 1e8, 1e15, 1e200):
             exact = 2j * math.sin(phi.phi) / (2j * math.sin(phi.phi) - barrier)
             win = InteractionWindow(lo=0, hi=0, entries={(0, 0): barrier})
-            assert abs(solve_transfer_matrix(win, phi).amplitudes.T - exact) <= 1e-9 * abs(exact)
-            try:
-                t = solve_matching(win, phi).amplitudes.T
-            except SingularSystem:
-                continue
-            assert abs(t - exact) <= 1e-9 * abs(exact), barrier
+            for solve in (solve_matching, solve_transfer_matrix):
+                assert abs(solve(win, phi).amplitudes.T - exact) <= 1e-15 * abs(exact), (solve.__name__, barrier)
 
     def test_non_tridiagonal_rejected_by_transfer(self):
         win = InteractionWindow(lo=0, hi=2, entries={(0, 2): 1.0})
@@ -265,7 +258,7 @@ class TestSolveComplexLinear:
 
 
 class TestMatchingSystemStructure:
-    # One row and one unknown per site of [lo, hi]: R at lo, T at hi.
+    # One row and one unknown psi[m] per site m of [lo, hi].
     def test_anchors_and_dimension_m1(self):
         matrix, rhs = build_matching_system(build_pt_delta_pair(1, 0.5), PhiAngle(1.0))
         assert matrix.shape == (3, 3)
@@ -276,11 +269,13 @@ class TestMatchingSystemStructure:
         assert matrix.shape == (5, 5)
         assert rhs.shape == (5,)
 
-    def test_single_site_window_gets_free_row(self):
-        # The right anchor moves to lo + 1, so R and T stay independent unknowns.
+    def test_single_site_window_is_one_by_one(self):
+        # Both lead corners land on the one cell: 2 cos(phi) - 2 e^{i phi} = -2i sin(phi).
         matrix, rhs = build_matching_system(InteractionWindow(lo=0, hi=0), PhiAngle(1.0))
-        assert matrix.shape == (2, 2)
-        assert rhs.shape == (2,)
+        assert matrix.shape == (1, 1)
+        assert rhs.shape == (1,)
+        assert matrix[0, 0] == pytest.approx(-2j * math.sin(1.0), abs=1e-15)
+        assert rhs[0] == pytest.approx(-2j * math.sin(1.0), abs=1e-15)
 
 
 class TestSolveReport:
