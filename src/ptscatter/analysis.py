@@ -257,6 +257,9 @@ def _delta_pair_grid(
     ModelFamily.pt_delta_pair(m_max, 0.0)  # a separation past the width cap raises before the grid is made
     xs = tuple(x_values) if x_values is not None else default_coupling_grid()
     phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
+    for name, values in (("x_values", xs), ("phi_values", phis)):
+        if not values:
+            raise ValueError(f"empty {name}")  # a check over no points would pass vacuously
     return [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs], xs, phis
 
 
@@ -384,6 +387,9 @@ def transfer_matching_agreement(
     bounded away from zero.
     """
     _check_tol(tol)
+    for name, count in (("n_windows", n_windows), ("angles_per_window", angles_per_window)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     worst_r = worst_t = 0.0
     first_error: tuple[int, Exception] | None = None

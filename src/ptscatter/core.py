@@ -35,9 +35,13 @@ PT_PAIR = "pt-pair"
 ULTRALOCAL = "ultralocal"
 CUSTOM = "custom"
 PHI_EDGE_GUARD = 1e-8
-# Widest window, in sites, that InteractionWindow accepts.  One angle costs
-# about 12-34 us and 0.7 KB per site to solve, 1.2-3.4 s and ~100 MiB at
-# this width, so a wider window is refused before anything is built.
+# Widest window, in sites, that InteractionWindow accepts.  Solving stores a
+# band of 3*max(1, reach) + 1 cells per site, reach being the largest |i - j|
+# of an entry.  A tridiagonal window (4 cells a site) costs about 12-34 us and
+# 0.7 KB per site and angle, 1.2-3.4 s and ~100 MiB at this width; cost grows
+# with the cells.  So a window wider than this, or one whose band has more
+# cells than a tridiagonal window at this width, is refused before anything
+# is built.
 MAX_WINDOW_SITES = 100_000
 
 
@@ -77,8 +81,9 @@ class InteractionWindow:
 
     ``entries`` maps site pairs (i, j) to complex values; pairs that are
     absent count as zero.  The window spans at most MAX_WINDOW_SITES sites,
-    and every entry must have a finite modulus, so ``max_abs_entry`` and the
-    solvers' bond checks stay finite.  Entries
+    its band of sites * (3*max(1, reach) + 1) cells holds at most
+    4 * MAX_WINDOW_SITES, and every entry must have a finite modulus, so
+    ``max_abs_entry`` and the solvers' bond checks stay finite.  Entries
     equal to exactly zero are dropped on construction, so windows that
     differ only by explicit zero padding of the entry map compare equal.
     The nonzero entries are also indexed by row, in entry order, for
@@ -107,6 +112,13 @@ class InteractionWindow:
                 raise ValueError(f"entry ({i}, {j}) = {value} must have a finite modulus")
             if value != 0:
                 cleaned[(int(i), int(j))] = value
+        reach = max((abs(i - j) for i, j in cleaned), default=0)
+        cells = sites * (3 * max(1, reach) + 1)
+        if cells > 4 * MAX_WINDOW_SITES:
+            raise ValueError(
+                f"window [{self.lo}, {self.hi}] has reach {reach}: its band of {cells} cells exceeds "
+                f"the {4 * MAX_WINDOW_SITES} of a tridiagonal window {MAX_WINDOW_SITES} sites wide"
+            )
         object.__setattr__(self, "entries", cleaned)
         rows: dict[int, list[tuple[int, complex]]] = {}
         for (i, j), value in cleaned.items():

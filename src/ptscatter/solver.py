@@ -18,15 +18,16 @@ the two left-most free samples are matched against
 alpha*exp(i*m*phi) + beta*exp(-i*m*phi), giving T = 1/alpha, R = beta/alpha.
 
 Both routes read their rows from one ``RowStencil`` per window, built from
-``hamiltonian_row``, so their sign conventions cannot drift; agreement
-between them is the primary correctness oracle for windows without a
-closed-form solution.  Each route has one batch entry,
-``solve_matching_stack`` / ``solve_transfer_stack``, which streams any
-iterable of (window, angle) points: every run of consecutive points whose
-windows share one stencil shape is solved in chunks of bounded memory, by
-the matching assembly and band-limited elimination or by the transfer
-recursion (one Python step per row, acting on all points), then the
-residual.  The single-point functions are stacks of one.
+``hamiltonian_row`` and kept as a dense band (one column per offset
+j - m), so their sign conventions cannot drift; agreement between them is
+the primary correctness oracle for windows without a closed-form solution.
+Each route has one batch entry, ``solve_matching_stack`` /
+``solve_transfer_stack``, which streams any iterable of (window, angle)
+points: every run of consecutive points whose stencils have one shape
+(rows, 2*reach + 1) is solved in chunks of bounded memory, by the matching
+assembly and band-limited elimination or by the transfer recursion (one
+Python step per row, acting on all points), then the residual.  The
+single-point functions are stacks of one.
 Every report carries the wavefunction on [lo-2, hi+2] and the maximum row
 residual over [lo-1, hi+1], checked against RESIDUAL_RTOL * (1 + max |W|)
 before the solve is declared successful.  Both routes lose accuracy as
@@ -35,7 +36,6 @@ eps / sin(phi) towards the band edges, where the two plane waves merge.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,8 +56,6 @@ HOPPING_RTOL = 1e-14
 _RESCALE_ABOVE = 1e100
 # A stack is solved in chunks whose working arrays stay near this many bytes.
 _STACK_BYTES = 4 << 20
-# Stencil slot of site m in row m, the slot that gets 2*cos(phi).
-_DIAG = 1
 
 Point = tuple[InteractionWindow, PhiAngle]
 
@@ -93,18 +91,18 @@ def hamiltonian_row(win: InteractionWindow, m: int, two_cos: float) -> dict[int,
 class RowStencil(NamedTuple):
     """Rows lo-1 .. hi+1 of one window's lattice equation, built once for all angles.
 
-    Row t is site m = lo - 1 + t.  ``shape[t]`` holds j - m for its terms in
-    ``hamiltonian_row`` order: m-1, m, m+1, then the window's other columns
-    of row m in entry order.  ``coeffs[t, k]`` is the coefficient
-    ``hamiltonian_row(win, m, 0.0)`` gives term k, zero-padded to the longest
-    row; slot _DIAG (column m) gets 2*cos(phi) added at each angle.  ``tol``
-    is the residual gate RESIDUAL_RTOL * (1 + max |W|).  Windows with equal
-    ``shape`` stack into one batch whatever their ``lo``.
+    Row t is site m = lo - 1 + t, and ``coeffs[t, reach + d]`` is the
+    coefficient ``hamiltonian_row(win, m, 0.0)`` gives site m + d, zero
+    where the row has no term.  ``reach`` is the largest |j - m| of any
+    term, at least 1; column ``reach`` (site m) gets 2*cos(phi) added at
+    each angle.  ``tol`` is the residual gate RESIDUAL_RTOL * (1 + max |W|).
+    Windows whose ``coeffs`` have one shape stack into one batch whatever
+    their ``lo`` and whichever band cells they fill.
     """
 
     lo: int
     hi: int
-    shape: tuple[tuple[int, ...], ...]
+    reach: int
     coeffs: np.ndarray
     tol: float
 
@@ -120,32 +118,13 @@ def row_stencil(win: InteractionWindow) -> RowStencil:
 def _build_stencil(win: InteractionWindow) -> RowStencil:
     sites = range(win.lo - 1, win.hi + 2)
     rows = [hamiltonian_row(win, m, 0.0) for m in sites]
-    width = max(map(len, rows))
-    shape = tuple([tuple([j - m for j in row]) for m, row in zip(sites, rows)])
-    padded = (value for row in rows for value in (*row.values(), *[0j] * (width - len(row))))
-    coeffs = np.fromiter(padded, complex, len(rows) * width).reshape(len(rows), width)
-    return RowStencil(win.lo, win.hi, shape, coeffs, RESIDUAL_RTOL * (1.0 + win.max_abs_entry()))
-
-
-@functools.lru_cache(maxsize=64)
-def _base_sites(rows: int) -> np.ndarray:
-    """Index in psi on [lo-2, hi+2] of sites m-1, m, m+1 of each row m = lo-1+t."""
-    return np.arange(rows)[:, None] + np.arange(3)
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(shape: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, np.ndarray, np.ndarray], ...]]:
-    """Reach and long-range terms of one stencil shape, shared by every window of that shape.
-
-    The reach is the largest |j - m| of any term, at least 1.  Per term
-    k >= 3 (a window column beyond m-1 .. m+1): the rows t that have one and
-    the index in psi on [lo-2, hi+2] of its site.
-    """
-    long_range = []
-    for k in range(3, max(map(len, shape))):
-        rows = [t for t, row in enumerate(shape) if len(row) > k]
-        long_range.append((k, np.array(rows), np.array([t + 1 + shape[t][k] for t in rows])))
-    return max(abs(j) for row in shape for j in row), tuple(long_range)
+    reach = max(abs(j - m) for m, row in zip(sites, rows) for j in row)
+    width = 2 * reach + 1
+    # Flat index of each term in the (rows, width) band: row t, column reach + j - m.
+    cells = [t * width + reach + j - m for t, (m, row) in enumerate(zip(sites, rows)) for j in row]
+    coeffs = np.zeros((len(rows), width), dtype=complex)
+    coeffs.flat[cells] = [c for row in rows for c in row.values()]
+    return RowStencil(win.lo, win.hi, reach, coeffs, RESIDUAL_RTOL * (1.0 + win.max_abs_entry()))
 
 
 def _severed_bond(win: InteractionWindow) -> tuple[int, int] | None:
@@ -232,9 +211,9 @@ def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple
 
 
 def _coefficients(stencils: Sequence[RowStencil], phis: Sequence[float]) -> np.ndarray:
-    """Row coefficients of every point, shape (P, rows, terms), 2*cos(phi) added at slot _DIAG."""
+    """Row coefficients of every point, shape (P, rows, 2*reach + 1), 2*cos(phi) added at column reach."""
     coeffs = np.array([s.coeffs for s in stencils])
-    coeffs.real[:, :, _DIAG] += np.array([2.0 * math.cos(phi) for phi in phis])[:, None]
+    coeffs.real[:, :, stencils[0].reach] += np.array([2.0 * math.cos(phi) for phi in phis])[:, None]
     return coeffs
 
 
@@ -254,17 +233,21 @@ def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequenc
     return np.exp(arg)
 
 
-def _residuals(shape: tuple[tuple[int, ...], ...], coeffs: np.ndarray, psi: np.ndarray) -> list[float]:
+def _residuals(coeffs: np.ndarray, psi: np.ndarray) -> list[float]:
     """Max row residual over rows lo-1 .. hi+1 of each point's psi.
 
     ``psi`` has shape (P, rows + 2), samples on [lo-2, hi+2].  A NaN row
     makes the result NaN, so it fails every tolerance check; a row whose
     modulus lies beyond the float range gives inf.
     """
-    # Columns m-1, m, m+1 of every row, then the window's longer-range terms.
-    total = (coeffs[:, :, :3] * psi[:, _base_sites(len(shape))]).sum(axis=2)
-    for k, t, sites in _layout(shape)[1]:
-        total[:, t] += coeffs[:, t, k] * psi[:, sites]
+    count, rows, width = coeffs.shape
+    reach = width // 2
+    total = np.zeros((count, rows), dtype=complex)
+    # Offsets m-1, m, m+1, then each longer one in increasing order.  Row t
+    # (site m) reads site m + d at psi index t + 1 + d; rows t0 .. t1 - 1 have it.
+    for d in (-1, 0, 1, *[d for d in range(-reach, reach + 1) if abs(d) > 1]):
+        t0, t1 = max(0, -1 - d), min(rows, rows + 1 - d)
+        total[:, t0:t1] += coeffs[:, t0:t1, reach + d] * psi[:, t0 + 1 + d : t1 + 1 + d]
     return np.abs(total).max(axis=1).tolist()
 
 
@@ -277,7 +260,7 @@ def _reports(
     failures: dict[int, SolverError],
 ) -> list[Outcome]:
     """Per point: its failure, or the report once its residual passes the gate."""
-    worst = _residuals(stencils[0].shape, coeffs, psi)
+    worst = _residuals(coeffs, psi)
     outcomes: list[Outcome] = []
     for p, stencil in enumerate(stencils):
         res = worst[p]
@@ -305,7 +288,7 @@ def _solve(
     ``blocker(win)`` returns the SolverError every angle of a window fails
     with before any arithmetic, or None; it and the stencil are looked up
     once per run of consecutive points of one window.  A run of consecutive
-    points whose windows share a stencil shape is solved by
+    points whose stencils share the shape (rows, 2*reach + 1) is solved by
     ``solve_chunk(stencils, phis)`` in chunks that keep the working arrays
     within _STACK_BYTES.  A chunk's outcomes are yielded as soon as it is
     full or its run ends, so at most one chunk of points is held.
@@ -318,8 +301,8 @@ def _solve(
                 current, stencil = win, blocker(win) or row_stencil(win)
             yield stencil, phi.phi
 
-    def shape(item: tuple[RowStencil | SolverError, float]) -> tuple | SolverError:
-        return item[0] if isinstance(item[0], SolverError) else item[0].shape
+    def shape(item: tuple[RowStencil | SolverError, float]) -> tuple[int, int] | SolverError:
+        return item[0] if isinstance(item[0], SolverError) else item[0].coeffs.shape
 
     for key, run in itertools.groupby(prepared(), shape):
         if isinstance(key, SolverError):
@@ -328,7 +311,8 @@ def _solve(
         # Per point: the stored band (3*reach + 1 complex per row), its
         # magnitudes and update temporaries, then the rhs, solution and psi
         # of the matching elimination, which needs the most.
-        chunk = max(1, _STACK_BYTES // (16 * len(key) * (2 * (3 * _layout(key)[0] + 1) + 4)))
+        rows, reach = key[0], key[1] // 2
+        chunk = max(1, _STACK_BYTES // (16 * rows * (2 * (3 * reach + 1) + 4)))
         while part := list(itertools.islice(run, chunk)):
             stencils, phis = zip(*part)
             with np.errstate(all="ignore"):
@@ -349,75 +333,60 @@ def _matching_blocker(win: InteractionWindow) -> SolverError | None:
     return SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
 
 
-@functools.lru_cache(maxsize=64)
-def _matching_layout(shape: tuple[tuple[int, ...], ...]) -> tuple:
-    """Where the stencil terms of one shape land in the matching band store.
-
-    Matrix row r is lattice row m = lo + r, stencil row r + 1, and column c
-    is site lo + c.  Every term of rows lo .. hi on a site in [lo, hi] is
-    stored as it stands; the two hops out of the window, row lo's to lo - 1
-    (its term 0) and row hi's to hi + 1 (its term 2), are the lead's and go
-    through ``_assemble``.
-
-    Returns n = hi - lo + 1, the band reach, and the (row, slot) cells and
-    (stencil row, term) coefficients of the stored terms.
-    """
-    n = len(shape) - 2
-    reach = min(_layout(shape)[0], n - 1)
-    cells = [(r, offset + reach, r + 1, k)
-             for r in range(n) for k, offset in enumerate(shape[r + 1]) if 0 <= r + offset < n]
-    row, slot, t, k = np.array(cells).T
-    return n, reach, (row, slot), (t, k)
-
-
 def _leads(stencils: Sequence[RowStencil], phis: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per point: e^{i phi}, 2i sin(phi), and the columns e^{i phi lo}, e^{i phi (lo-1)}, e^{-i phi hi}."""
     step = np.exp(1j * np.array(phis))
     return step, 2j * step.imag, _waves(stencils, phis, ((1, 0), (1, -1), (-1, n - 1)))
 
 
-def _assemble(layout: tuple, coeffs: np.ndarray, step: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(coeffs: np.ndarray, step: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Band store and rhs of (E - H - Sigma) psi = b, unknowns psi[lo..hi].
 
-    A hop c out of the window is replaced by its lead relation:
+    Matrix row r is lattice row lo + r, stencil row r + 1, and column c is
+    site lo + c; the band's reach is the stencil's, at most n - 1.  A hop c
+    out of the window is replaced by its lead relation:
     psi[lo-1] = e^{i phi} psi[lo] - source and psi[hi+1] = e^{i phi} psi[hi],
     ``step`` being e^{i phi} and ``source`` 2i sin(phi) e^{i phi lo}.  So
     c e^{i phi} is added to the diagonal cells (lo, lo) and (hi, hi), the
     same cell for a single site, and row lo gets the rhs c * source.
     """
-    n, reach, cells, terms = layout
-    every = slice(None)
-    band = np.zeros((len(coeffs), n, 3 * reach + 1), dtype=complex)
-    band[(every, *cells)] = coeffs[(every, *terms)]
-    band[:, 0, reach] += coeffs[:, 1, 0] * step
-    band[:, n - 1, reach] += coeffs[:, n, 2] * step
-    b = np.zeros((len(coeffs), n), dtype=complex)
-    b[:, 0] = coeffs[:, 1, 0] * source
+    count, rows, width = coeffs.shape
+    n, reach = rows - 2, width // 2
+    lower = min(reach, n - 1)
+    band = np.zeros((count, n, 3 * lower + 1), dtype=complex)
+    band[:, :, : 2 * lower + 1] = coeffs[:, 1:-1, reach - lower : reach + lower + 1]
+    # Columns left of lo and right of hi hold only the two hops out of the window.
+    band[:, 0, :lower] = band[:, n - 1, lower + 1 :] = 0.0
+    hop_lo, hop_hi = coeffs[:, 1, reach - 1], coeffs[:, n, reach + 1]
+    band[:, 0, lower] += hop_lo * step
+    band[:, n - 1, lower] += hop_hi * step
+    b = np.zeros((count, n), dtype=complex)
+    b[:, 0] = hop_lo * source
     return band, b
 
 
 def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> tuple[np.ndarray, np.ndarray]:
     """Matrix E - H - Sigma and right-hand side b of the matching system, unknowns psi[lo..hi]."""
     stencil = row_stencil(win)
-    layout = _matching_layout(stencil.shape)
-    n, reach = layout[:2]
-    step, two_sin, waves = _leads([stencil], [phi.phi], n)
-    band, b = _assemble(layout, _coefficients([stencil], [phi.phi]), step, two_sin * waves[:, 0])
-    # Slot s of row r holds column r + s - reach: column index r + s of a
-    # matrix with reach spare columns on the left.
-    a = np.zeros((n, n + 3 * reach), dtype=complex)
+    step, two_sin, waves = _leads([stencil], [phi.phi], win.hi - win.lo + 1)
+    band, b = _assemble(_coefficients([stencil], [phi.phi]), step, two_sin * waves[:, 0])
+    n, lower = band.shape[1], band.shape[2] // 3
+    # Slot s of row r holds column r + s - lower: column index r + s of a
+    # matrix with lower spare columns on the left.
+    a = np.zeros((n, n + 3 * lower), dtype=complex)
     for r in range(n):
-        a[r, r : r + 3 * reach + 1] = band[0, r]
-    return a[:, reach : reach + n], b[0]
+        a[r, r : r + 3 * lower + 1] = band[0, r]
+    return a[:, lower : lower + n], b[0]
 
 
 def _matching_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> list[Outcome]:
-    layout = _matching_layout(stencils[0].shape)
-    n, reach = layout[:2]
     coeffs = _coefficients(stencils, phis)
+    n = coeffs.shape[1] - 2
     step, two_sin, waves = _leads(stencils, phis, n)
     source = two_sin * waves[:, 0]
-    x, failures = _eliminate(*_assemble(layout, coeffs, step, source), reach, reach)
+    band, b = _assemble(coeffs, step, source)
+    lower = band.shape[2] // 3
+    x, failures = _eliminate(band, b, lower, lower)
     # psi on [lo-2, hi+2]: the solution, extended by the lead relations.
     psi = np.empty((len(stencils), n + 4), dtype=complex)
     psi[:, 2 : n + 2] = x
@@ -439,8 +408,8 @@ def solve_matching_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     """Matching solutions of (window, angle) points, any iterable, in the order given.
 
     Yields, per point, the report ``solve_matching(win, phi)`` returns or the
-    exception it raises.  Consecutive points whose windows share a stencil
-    shape share one band and are assembled and eliminated together.
+    exception it raises.  Consecutive points whose stencils share a shape
+    share one band and are assembled and eliminated together.
     """
     return _solve(points, _matching_blocker, _matching_chunk)
 
@@ -463,8 +432,9 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
     psi = np.zeros((count, rows + 2), dtype=complex)
     psi[:, -3:] = waves
     scale_exp = np.zeros(count, dtype=int)  # psi holds the wavefunction times 2**-scale_exp
-    # Row t's coefficients at sites m-1, m and m+1, one row of points each.
-    c_sub, c_m, c_next = coeffs[:, :, :3].transpose(2, 1, 0).copy()
+    # Row t's coefficients at sites m-1, m and m+1 (a tridiagonal stencil's
+    # three columns), one row of points each.
+    c_sub, c_m, c_next = coeffs.transpose(2, 1, 0).copy()
     # |psi[m-1]| <= (|c_m| |psi[m]| + |c_m+1| |psi[m+1]|) / |c_sub|: until this
     # bound, with room for rounding, passes _RESCALE_ABOVE / 2 no sample can
     # need the rescale, so rows above ``check_below`` skip the test.
@@ -490,7 +460,7 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
 
 
 def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> list[Outcome]:
-    width = len(stencils[0].shape) - 3  # hi - lo
+    width = stencils[0].hi - stencils[0].lo
     coeffs = _coefficients(stencils, phis)
     waves = _waves(stencils, phis, ((1, width), (1, width + 1), (1, width + 2), (-1, -2), (-1, -1), (1, -1), (1, -2)))
     psi, scale_exp = _back_substitute(coeffs, waves[:, :3])
@@ -545,4 +515,4 @@ def residual(win: InteractionWindow, phi: PhiAngle, psi: np.ndarray) -> float:
     stencil = row_stencil(win)
     with np.errstate(all="ignore"):
         coeffs = _coefficients([stencil], [phi.phi])
-        return _residuals(stencil.shape, coeffs, np.asarray(psi, dtype=complex)[None])[0]
+        return _residuals(coeffs, np.asarray(psi, dtype=complex)[None])[0]

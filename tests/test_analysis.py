@@ -339,6 +339,24 @@ class TestToleranceGates:
         assert transfer_matching_agreement(n_windows=2, angles_per_window=2, tol=0.0).tol == 0.0
 
 
+@pytest.mark.parametrize(
+    "oracle, kwargs, message",
+    [
+        (cross_validate, dict(m_max=2, x_values=[]), "empty x_values"),
+        (cross_validate, dict(m_max=2, phi_values=[]), "empty phi_values"),
+        (transfer_matching_agreement, dict(n_windows=-2), "n_windows must be >= 1, got -2"),
+        (transfer_matching_agreement, dict(n_windows=0), "n_windows must be >= 1, got 0"),
+        (transfer_matching_agreement, dict(angles_per_window=0), "angles_per_window must be >= 1, got 0"),
+    ],
+)
+def test_oracles_reject_checks_over_no_points(oracle, kwargs, message, monkeypatch):
+    """An oracle over no points would pass vacuously; it is refused before any solve."""
+    for name in ("solve_matching_stack", "solve_transfer_stack"):
+        monkeypatch.setattr(f"ptscatter.analysis.{name}", _no_solve)
+    with pytest.raises(ValueError, match=message):
+        oracle(**kwargs)
+
+
 class TestTransferMatchingAgreement:
     def test_small_sample_agrees(self):
         result = transfer_matching_agreement(n_windows=25, angles_per_window=4, tol=1e-9)

@@ -251,6 +251,20 @@ class TestSolveCommand:
             f"at most {MAX_WINDOW_SITES} are allowed\n"
         )
 
+    @pytest.mark.parametrize("command", [["solve", "--phi", "1.0"], ["sweep", "--phi-range", "1:1:1"], ["check-pt"]])
+    def test_window_band_beyond_the_cap_exits_one(self, tmp_path, capsys, command):
+        """A width within the cap, but one entry 99999 sites off the diagonal: its band would hold 3e10 cells."""
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"lo": 0, "hi": MAX_WINDOW_SITES - 1, "entries": [{"i": 0, "j": MAX_WINDOW_SITES - 1, "re": 0.1}]}))
+        assert main([command[0], "--model", "custom", "--window", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ptscatter: error: window [0, {MAX_WINDOW_SITES - 1}] has reach {MAX_WINDOW_SITES - 1}: its band of "
+            f"{MAX_WINDOW_SITES * (3 * MAX_WINDOW_SITES - 2)} cells exceeds the {4 * MAX_WINDOW_SITES} of a "
+            f"tridiagonal window {MAX_WINDOW_SITES} sites wide\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -80,6 +80,17 @@ class TestInteractionWindow:
         with pytest.raises(ValueError, match=f"spans {MAX_WINDOW_SITES + 1} sites; at most {MAX_WINDOW_SITES}"):
             InteractionWindow(lo=-50, hi=MAX_WINDOW_SITES - 50)
 
+    def test_accepts_a_band_at_the_cap(self):
+        """Reach 3 stores 10 cells a site, so 40000 sites fill the 4 * MAX_WINDOW_SITES cells of the cap."""
+        sites = 4 * MAX_WINDOW_SITES // 10
+        win = InteractionWindow(lo=0, hi=sites - 1, entries={(0, 3): 0.1})
+        assert (win.hi - win.lo + 1) * 10 == 4 * MAX_WINDOW_SITES
+
+    def test_rejects_a_band_beyond_the_cap(self):
+        sites = 4 * MAX_WINDOW_SITES // 10 + 1
+        with pytest.raises(ValueError, match=f"has reach 3: its band of {10 * sites} cells exceeds"):
+            InteractionWindow(lo=0, hi=sites - 1, entries={(0, 3): 0.1})
+
     def test_absent_pairs_read_as_zero(self):
         win = InteractionWindow(lo=0, hi=2, entries={(0, 1): 2.0})
         assert win.entry(0, 1) == 2.0

@@ -384,9 +384,15 @@ def test_blocked_windows_fail_at_every_angle_with_fresh_exceptions():
     [(solve_matching_stack, reference_solve_matching), (solve_transfer_stack, reference_solve_transfer)],
 )
 def test_stacks_stream_a_generator(stack, reference):
-    """Interleaved points of several shapes and a blocked window, read lazily from a generator."""
+    """Interleaved points of several shapes and a blocked window, read lazily from a generator.
+
+    The two 4-site windows of reach 2 fill different band cells yet share one
+    chunk; the last window's row 0 gives offset 3 before offset 2.
+    """
     wins = [build_pt_delta_pair(1, 0.4), build_pt_delta_pair(3, -0.2), build_pt_delta_pair(1, 1.0),
-            build_ultralocal(0.5), InteractionWindow(lo=0, hi=3, entries={(0, 2): 0.1, (3, 1): -0.2j})]
+            build_ultralocal(0.5), InteractionWindow(lo=0, hi=3, entries={(0, 2): 0.1, (3, 1): -0.2j}),
+            InteractionWindow(lo=5, hi=8, entries={(6, 8): 0.3, (7, 7): -0.1, (5, 6): 0.2j}),
+            InteractionWindow(lo=-1, hi=4, entries={(0, 3): 0.2, (0, 2): -0.1j, (4, 1): 0.05})]
     points = [(win, PhiAngle(0.3 + 0.4 * k)) for k in range(6) for win in wins]
     drawn = []
 
