@@ -9,6 +9,7 @@ from ptscatter import (
     CrossValidation,
     InteractionWindow,
     ModelFamily,
+    NotTridiagonal,
     PhiAngle,
     SingularSystem,
     SweepSpec,
@@ -22,6 +23,7 @@ from ptscatter import (
     transfer_matching_agreement,
     unitarity_report,
 )
+from ptscatter import analysis
 from ptscatter.analysis import (
     SOLVER_CLOSED_FORM,
     SOLVER_MATCHING,
@@ -236,6 +238,41 @@ class TestCrossValidate:
         result = cross_validate(1, tol=1e-18, x_values=(0.5,), phi_values=default_phi_grid(3))
         assert not result.passed
 
+    @staticmethod
+    def stub_window(monkeypatch, model_window):
+        """Give the pt pair of separation 2 at x = 0.5 the window ``model_window(real window)``."""
+        real = ModelFamily.window
+
+        def window(model):
+            win = real(model)
+            return model_window(win) if (model.kind, model.m_sep, model.coupling) == ("pt-pair", 2, 0.5) else win
+
+        monkeypatch.setattr(ModelFamily, "window", window)
+
+    def test_error_other_than_singular_propagates(self, monkeypatch):
+        def longer_range(win):
+            return InteractionWindow(lo=win.lo, hi=win.hi, entries={**win.entries, (win.lo, win.hi): 0.1})
+
+        self.stub_window(monkeypatch, longer_range)
+        with pytest.raises(NotTridiagonal, match=r"window entry \(-2, 2\) lies beyond nearest neighbours"):
+            cross_validate(3, x_values=(1.0, 0.5), phi_values=default_phi_grid(3))
+
+    def test_singular_model_is_recorded_once_and_its_later_angles_excluded(self, monkeypatch):
+        # One site with W = 2i sin(1) has a spectral singularity at phi = 1.0 and
+        # solves at the other angles; 1.0 comes twice, with a solvable angle between.
+        spectral = InteractionWindow(lo=0, hi=0, entries={(0, 0): 2j * math.sin(1.0)})
+        self.stub_window(monkeypatch, lambda win: spectral)
+        phis = (PhiAngle(0.5), PhiAngle(1.0), PhiAngle(2.0), PhiAngle(1.0))
+        result = cross_validate(4, x_values=(0.5,), phi_values=phis)
+        assert result.singular_points == ((2, 0.5),)
+        assert result.points_checked == 3 * len(phis) + 1  # separation 2 keeps only phi = 0.5
+        # The excluded phi = 2.0 (|T| = 13.4) would dominate both worsts.
+        alone = cross_validate(4, x_values=(0.5,), phi_values=phis[:1])
+        assert (result.worst_abs_defect, result.worst_matching_vs_transfer) == (
+            alone.worst_abs_defect,
+            alone.worst_matching_vs_transfer,
+        )
+
 
 def per_model_cross_validation(m_max, tol, xs, phis):
     """``cross_validate`` as one stack per model: each model's angles are solved on their own."""
@@ -363,6 +400,31 @@ class TestTransferMatchingAgreement:
         assert result.passed
         assert result.worst_delta_r <= 1e-9
         assert result.worst_delta_t <= 1e-9
+
+    def test_first_failing_draw_is_raised_though_solved_later(self, monkeypatch):
+        """Two severed windows in different width stacks: the later draw's stack is solved first."""
+        real = analysis.random_tridiagonal_window
+        drawn = []
+        severed = {}  # draw number -> bond set to W = 1, cancelling the hop
+
+        def window(rng, width, lo):
+            win = real(rng, width, lo)
+            drawn.append(win)
+            bond = severed.get(len(drawn) - 1)
+            return win if bond is None else InteractionWindow(win.lo, win.hi, {**win.entries, bond(win.lo): 1.0})
+
+        monkeypatch.setattr(analysis, "random_tridiagonal_window", window)
+        # 128 angles: a width's stack is solved when its second window is drawn, the rest at the end.
+        transfer_matching_agreement(n_windows=12, angles_per_window=128, seed=3)
+        widths = [win.hi - win.lo + 1 for win in drawn]
+        later = next(w for w in range(1, 12) if widths[w] in widths[:w] and widths[0] not in widths[1 : w + 1])
+        drawn.clear()
+        severed.update({0: lambda lo: (lo + 1, lo), later: lambda lo: (lo, lo + 1)})
+        with pytest.raises(SingularSystem) as raised:
+            transfer_matching_agreement(n_windows=12, angles_per_window=128, seed=3)
+        lo = drawn[0].lo
+        assert type(raised.value) is SingularSystem  # the matching error comes before the transfer one
+        assert str(raised.value) == f"total coupling -1 + W{(lo + 1, lo)} vanishes; the chain is severed at that bond"
 
     def test_seed_reproducibility(self):
         a = transfer_matching_agreement(n_windows=5, angles_per_window=2, seed=11)
