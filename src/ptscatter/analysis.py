@@ -13,6 +13,12 @@ it also holds both solvers to the ultralocal closed form.
 ``probability_defect`` is its defect check alone.
 ``transfer_matching_agreement`` does the same for randomly generated
 tridiagonal windows, where no closed form is available at all.
+
+Sweeps and oracles read the solvers' chunk arrays, not per-point reports.
+Every modulus is ``np.hypot`` of the parts, which is Python's ``abs(complex)``
+to the bit where ``np.abs`` is not, and the defect is squared and summed in
+Python floats, as ``ScatteringAmplitudes.defect`` is (numpy's ``x * x`` is
+not always Python's ``x ** 2``), so every figure is its per-point value.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from ._version import __version__
 from .closedforms import closed_form_amplitudes
 from .core import PT_PAIR, InteractionWindow, ModelFamily, PhiAngle, ScatteringAmplitudes, energy_from_phi
 from .errors import SingularSystem, SolverError
-from .solver import PIVOT_RTOL, RESIDUAL_RTOL, SolveReport, solve_matching_stack, solve_transfer_stack
+from .solver import PIVOT_RTOL, RESIDUAL_RTOL, Point, _Chunk, _matching_answers, _points, _transfer_answers
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
@@ -129,23 +135,23 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
-    stacks = {SOLVER_MATCHING: solve_matching_stack, SOLVER_TRANSFER: solve_transfer_stack}
-    numeric = [tag for tag in solvers if tag in stacks]
+    routes = {SOLVER_MATCHING: _matching_answers, SOLVER_TRANSFER: _transfer_answers}
+    numeric = [tag for tag in solvers if tag in routes]
     for model in spec.models:
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
         # Closed forms need no window, so a closed-form-only sweep builds none.
         win = model.window() if numeric else None
-        reports = {tag: stacks[tag]([(win, phi) for phi in phis]) for tag in numeric}
+        outcomes = {tag: _points(routes[tag]([(win, phi) for phi in phis])) for tag in numeric}
         for phi in phis:
             for tag in solvers:
                 try:
                     if tag == SOLVER_CLOSED_FORM:
                         amplitudes, residual = closed_form_amplitudes(model, phi), 0.0
                     else:
-                        report = next(reports[tag])
-                        if isinstance(report, Exception):
-                            raise report
-                        amplitudes, residual = report.amplitudes, report.residual_max
+                        outcome = next(outcomes[tag])
+                        if isinstance(outcome, Exception):
+                            raise outcome
+                        amplitudes, _, residual = outcome
                 except (SolverError, ValueError) as exc:
                     errors.append(
                         SweepError(
@@ -244,8 +250,38 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
-def _amp_delta(a: ScatteringAmplitudes, b: ScatteringAmplitudes) -> float:
-    return max(abs(a.R - b.R), abs(a.T - b.T))
+def _worst(worst: float, delta: np.ndarray) -> float:
+    """``worst`` or the largest modulus in ``delta``, whichever is larger."""
+    return max(worst, float(np.hypot(delta.real, delta.imag).max(initial=0.0)))
+
+
+def _worst_defect(worst: float, amplitudes: np.ndarray) -> float:
+    """``worst`` or the largest |(|R|^2 + |T|^2) - 1| of the (R, T) row pairs, whichever is larger."""
+    moduli = np.hypot(amplitudes.real, amplitudes.imag)
+    pairs = zip(moduli[0::2].ravel().tolist(), moduli[1::2].ravel().tolist())
+    return max([worst, *(abs(r**2 + t**2 - 1.0) for r, t in pairs)])
+
+
+def _solved(points: Sequence[Point]) -> tuple[np.ndarray, dict[int, SolverError]]:
+    """R and T of matching, then of transfer (rows), per point (columns), and {column: error} of the points that failed.
+
+    The matching error is kept where both fail; a failed point's amplitudes mean nothing.
+    """
+    amplitudes, failures = [], {}
+    for route in (_matching_answers, _transfer_answers):
+        parts, start = [], 0
+        for chunk in route(points):
+            if isinstance(chunk, _Chunk):
+                parts.append((chunk.big_r, chunk.big_t))
+                errors = chunk.failures.items()
+            else:
+                parts.append(np.zeros((2, chunk[0]), dtype=complex))
+                errors = zip(range(chunk[0]), itertools.repeat(chunk[1]))
+            for p, error in errors:
+                failures.setdefault(start + p, error)
+            start += len(parts[-1][0])
+        amplitudes.append(np.concatenate(parts, axis=1))
+    return np.concatenate(amplitudes), failures
 
 
 def _delta_pair_grid(
@@ -263,35 +299,32 @@ def _delta_pair_grid(
     return [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs], xs, phis
 
 
-def _solved_points(
+def _solved_groups(
     models: Sequence[ModelFamily], phis: Sequence[PhiAngle], singular: list[tuple[int, float]]
-) -> Iterator[tuple[ModelFamily, PhiAngle, SolveReport, SolveReport]]:
-    """(model, angle, matching report, transfer report) of every grid point, model by model.
+) -> Iterator[tuple[Sequence[ModelFamily], np.ndarray, np.ndarray]]:
+    """Per group of models: the models, the mask of their solved points and their amplitudes.
 
-    Consecutive groups of _ORACLE_STACK // len(phis) models (at least one)
-    are each one stream into both stacks.  A model stops at its first
-    singular point, and its (separation, coupling) is appended to
-    ``singular`` once.
+    The mask has shape (models, phis); the amplitudes, ``_solved``'s rows,
+    (4, models, phis).  Consecutive groups of _ORACLE_STACK // len(phis)
+    models (at least one) are each one stream into both routes.  A model
+    stops at its first failure: a SingularSystem appends its (separation,
+    coupling) to ``singular`` once, and any other error is raised, model by
+    model.
     """
-    size = max(1, _ORACLE_STACK // max(1, len(phis)))
+    size = max(1, _ORACLE_STACK // len(phis))
     for start in range(0, len(models), size):
         group = models[start : start + size]
         stack = [(win, phi) for win in [model.window() for model in group] for phi in phis]
-        matching, transfer = solve_matching_stack(stack), solve_transfer_stack(stack)
-        for model in group:
-            # A model's outcomes are all taken before its loop can stop early,
-            # so the next model starts at its own.
-            reports = list(zip(phis, itertools.islice(matching, len(phis)), itertools.islice(transfer, len(phis))))
-            for phi, rm, rt in reports:
-                try:
-                    for report in (rm, rt):
-                        if isinstance(report, Exception):
-                            raise report
-                except SingularSystem:
-                    if (model.m_sep, model.coupling) not in singular:
-                        singular.append((model.m_sep, model.coupling))
-                    break
-                yield model, phi, rm, rt
+        amplitudes, failures = _solved(stack)
+        failed = np.zeros((len(group), len(phis)), dtype=bool)
+        failed.flat[list(failures)] = True
+        for g in failed.any(axis=1).nonzero()[0].tolist():
+            error = failures[g * len(phis) + int(failed[g].argmax())]
+            if not isinstance(error, SingularSystem):
+                raise error
+            if (group[g].m_sep, group[g].coupling) not in singular:
+                singular.append((group[g].m_sep, group[g].coupling))
+        yield group, np.logical_and.accumulate(~failed, axis=1), amplitudes.reshape(4, len(group), len(phis))
 
 
 def cross_validate(
@@ -318,15 +351,16 @@ def cross_validate(
     worst_cm = worst_ct = worst_mt = worst_defect = 0.0
     singular: list[tuple[int, float]] = []
     points = 0
-    for model, phi, rm, rt in _solved_points(models, phis, singular):
-        if model.kind == PT_PAIR:
-            points += 1
-            worst_mt = max(worst_mt, _amp_delta(rm.amplitudes, rt.amplitudes))
-            worst_defect = max(worst_defect, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect))
-        if model.m_sep <= 3:
-            cf = closed_form_amplitudes(model, phi)
-            worst_cm = max(worst_cm, _amp_delta(cf, rm.amplitudes))
-            worst_ct = max(worst_ct, _amp_delta(cf, rt.amplitudes))
+    for group, solved, amplitudes in _solved_groups(models, phis, singular):
+        pair = solved & np.array([model.kind == PT_PAIR for model in group])[:, None]
+        points += int(np.count_nonzero(pair))
+        worst_mt = _worst(worst_mt, amplitudes[:2, pair] - amplitudes[2:, pair])
+        worst_defect = _worst_defect(worst_defect, amplitudes[:, pair])
+        closed = solved & np.array([model.m_sep <= 3 for model in group])[:, None]
+        cf = [closed_form_amplitudes(group[g], phis[k]) for g, k in np.argwhere(closed).tolist()]
+        # The closed form's R and T minus those of matching, then of transfer.
+        delta = np.array([[c.R for c in cf], [c.T for c in cf]]) - amplitudes[:, closed].reshape(2, 2, -1)
+        worst_cm, worst_ct = _worst(worst_cm, delta[0]), _worst(worst_ct, delta[1])
 
     passed = max(worst_cm, worst_ct, worst_mt, worst_defect) <= tol
     return CrossValidation(
@@ -351,8 +385,8 @@ def probability_defect(m_max: int) -> float:
     """
     models, _, phis = _delta_pair_grid(m_max, None, None)
     worst = 0.0
-    for _, _, rm, rt in _solved_points(models, phis, []):
-        worst = max(worst, abs(rm.amplitudes.defect), abs(rt.amplitudes.defect))
+    for _, solved, amplitudes in _solved_groups(models, phis, []):
+        worst = _worst_defect(worst, amplitudes[:, solved])
     return worst
 
 
@@ -397,14 +431,15 @@ def transfer_matching_agreement(
     def solve(stack: list[tuple[int, tuple[InteractionWindow, PhiAngle]]]) -> None:
         nonlocal worst_r, worst_t, first_error
         indices, points = zip(*stack)
-        for index, rm, rt in zip(indices, solve_matching_stack(points), solve_transfer_stack(points)):
-            error = next((report for report in (rm, rt) if isinstance(report, Exception)), None)
-            if error is not None:
-                if first_error is None or index < first_error[0]:
-                    first_error = index, error
-                continue
-            worst_r = max(worst_r, abs(rm.amplitudes.R - rt.amplitudes.R))
-            worst_t = max(worst_t, abs(rm.amplitudes.T - rt.amplitudes.T))
+        amplitudes, failures = _solved(points)
+        if failures:
+            p = min(failures)  # a stack holds its points in draw order
+            if first_error is None or indices[p] < first_error[0]:
+                first_error = indices[p], failures[p]
+        solved = np.ones(len(points), dtype=bool)
+        solved[list(failures)] = False
+        delta = amplitudes[:2, solved] - amplitudes[2:, solved]
+        worst_r, worst_t = _worst(worst_r, delta[0]), _worst(worst_t, delta[1])
 
     # Windows and angles are drawn in order; the points of one width are
     # solved as one stack once _ORACLE_STACK of them are waiting, and the

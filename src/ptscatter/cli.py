@@ -257,6 +257,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _row_values(row: SweepRow) -> tuple:
     """Values of one sweep row in ROW_SCHEMA order."""
     amps = row.amplitudes
+    prob_sum = amps.prob_sum
     return (
         row.model,
         row.m_sep,
@@ -267,8 +268,8 @@ def _row_values(row: SweepRow) -> tuple:
         amps.R.imag,
         amps.T.real,
         amps.T.imag,
-        row.prob_sum,
-        row.defect,
+        prob_sum,
+        prob_sum - 1.0,  # row.defect, without squaring both moduli again
         row.solver,
         row.residual,
     )

@@ -26,18 +26,22 @@ Each route has one batch entry, ``solve_matching_stack`` /
 points: every run of consecutive points whose stencils have one shape
 (rows, 2*reach + 1) is solved in chunks of bounded memory, by the matching
 assembly and band-limited elimination or by the transfer recursion (one
-Python step per row, acting on all points), then the residual.  The
-single-point functions are stacks of one.
-Every report carries the wavefunction on [lo-2, hi+2] and the maximum row
-residual over [lo-1, hi+1], checked against RESIDUAL_RTOL * (1 + max |W|)
-before the solve is declared successful.  Both routes lose accuracy as
-eps / sin(phi) towards the band edges, where the two plane waves merge.
+Python step per row, acting on all points), then the residual.  A chunk
+answers in arrays: R, T, the wavefunction on [lo-2, hi+2] and the maximum
+row residual over [lo-1, hi+1] of each point, the residual checked against
+RESIDUAL_RTOL * (1 + max |W|) before a point counts as solved, and the
+SolverError of each point that failed.  Only the public stacks turn these
+into one SolveReport per point, and the single-point functions are stacks
+of one; sweeps and oracles (``analysis``) read the arrays.  Both routes
+lose accuracy as eps / sin(phi) towards the band edges, where the two
+plane waves merge.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -233,7 +237,7 @@ def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequenc
     return np.exp(arg)
 
 
-def _residuals(coeffs: np.ndarray, psi: np.ndarray) -> list[float]:
+def _residuals(coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Max row residual over rows lo-1 .. hi+1 of each point's psi.
 
     ``psi`` has shape (P, rows + 2), samples on [lo-2, hi+2].  A NaN row
@@ -248,65 +252,69 @@ def _residuals(coeffs: np.ndarray, psi: np.ndarray) -> list[float]:
     for d in (-1, 0, 1, *[d for d in range(-reach, reach + 1) if abs(d) > 1]):
         t0, t1 = max(0, -1 - d), min(rows, rows + 1 - d)
         total[:, t0:t1] += coeffs[:, t0:t1, reach + d] * psi[:, t0 + 1 + d : t1 + 1 + d]
-    return np.abs(total).max(axis=1).tolist()
+    return np.abs(total).max(axis=1)
 
 
-def _reports(
+class _Chunk(NamedTuple):
+    """One chunk's answers, one entry (a row of ``psi``) per point; a point in ``failures`` has no answer."""
+
+    big_r: np.ndarray
+    big_t: np.ndarray
+    residual: np.ndarray
+    psi: np.ndarray
+    failures: dict[int, SolverError]
+
+
+_Answers = _Chunk | tuple[int, SolverError]  # what a route streams: chunks, and (count, error) per blocked run
+
+
+def _gate(
     stencils: Sequence[RowStencil],
     coeffs: np.ndarray,
     psi: np.ndarray,
-    big_r: list[complex],
-    big_t: list[complex],
+    big_r: np.ndarray,
+    big_t: np.ndarray,
     failures: dict[int, SolverError],
-) -> list[Outcome]:
-    """Per point: its failure, or the report once its residual passes the gate."""
+) -> _Chunk:
+    """The chunk's answers: a point its solve did not fail fails unless its residual passes its window's gate."""
     worst = _residuals(coeffs, psi)
-    outcomes: list[Outcome] = []
-    for p, stencil in enumerate(stencils):
-        res = worst[p]
-        if p in failures:
-            outcomes.append(failures[p])
-        elif not res <= stencil.tol:
-            outcomes.append(
-                SingularSystem(
-                    f"row residual {res:.3e} exceeds {stencil.tol:.3e}; system too ill-conditioned to trust"
-                )
+    tol = np.array([s.tol for s in stencils])
+    for p in (~(worst <= tol)).nonzero()[0].tolist():
+        if p not in failures:
+            failures[p] = SingularSystem(
+                f"row residual {worst[p]:.3e} exceeds {tol[p]:.3e}; system too ill-conditioned to trust"
             )
-        else:
-            amplitudes = ScatteringAmplitudes(R=big_r[p], T=big_t[p])
-            outcomes.append(SolveReport(amplitudes=amplitudes, psi=psi[p], residual_max=res))
-    return outcomes
+    return _Chunk(big_r, big_t, worst, psi, failures)
 
 
 def _solve(
     points: Iterable[Point],
     blocker: Callable[[InteractionWindow], SolverError | None],
-    solve_chunk: Callable[[Sequence[RowStencil], Sequence[float]], list[Outcome]],
-) -> Iterator[Outcome]:
-    """Outcomes of ``points``, any iterable, in the order given, streamed.
+    solve_chunk: Callable[[Sequence[RowStencil], Sequence[float]], _Chunk],
+) -> Iterator[_Answers]:
+    """Answers of ``points``, any iterable, in the order given, streamed.
 
     ``blocker(win)`` returns the SolverError every angle of a window fails
     with before any arithmetic, or None; it and the stencil are looked up
     once per run of consecutive points of one window.  A run of consecutive
     points whose stencils share the shape (rows, 2*reach + 1) is solved by
     ``solve_chunk(stencils, phis)`` in chunks that keep the working arrays
-    within _STACK_BYTES.  A chunk's outcomes are yielded as soon as it is
-    full or its run ends, so at most one chunk of points is held.
+    within _STACK_BYTES.  A chunk's answers are yielded as soon as it is
+    full or its run ends, so at most one chunk of points is held; a blocked
+    run of consecutive points yields (its length, its error).
     """
 
-    def prepared() -> Iterator[tuple[RowStencil | SolverError, float]]:
-        current = stencil = None
+    def prepared() -> Iterator[tuple[tuple[int, int] | SolverError, RowStencil | SolverError, float]]:
+        current = None
         for win, phi in points:
             if win is not current:
                 current, stencil = win, blocker(win) or row_stencil(win)
-            yield stencil, phi.phi
+                key = stencil if isinstance(stencil, SolverError) else stencil.coeffs.shape
+            yield key, stencil, phi.phi
 
-    def shape(item: tuple[RowStencil | SolverError, float]) -> tuple[int, int] | SolverError:
-        return item[0] if isinstance(item[0], SolverError) else item[0].coeffs.shape
-
-    for key, run in itertools.groupby(prepared(), shape):
+    for key, run in itertools.groupby(prepared(), operator.itemgetter(0)):
         if isinstance(key, SolverError):
-            yield from (type(key)(*key.args) for _ in run)
+            yield sum(1 for _ in run), key
             continue
         # Per point: the stored band (3*reach + 1 complex per row), its
         # magnitudes and update temporaries, then the rhs, solution and psi
@@ -314,10 +322,27 @@ def _solve(
         rows, reach = key[0], key[1] // 2
         chunk = max(1, _STACK_BYTES // (16 * rows * (2 * (3 * reach + 1) + 4)))
         while part := list(itertools.islice(run, chunk)):
-            stencils, phis = zip(*part)
+            _, stencils, phis = zip(*part)
             with np.errstate(all="ignore"):
-                outcomes = solve_chunk(stencils, phis)
-            yield from outcomes
+                answers = solve_chunk(stencils, phis)
+            yield answers
+
+
+def _points(answers: Iterable[_Answers]) -> Iterator[tuple[ScatteringAmplitudes, np.ndarray, float] | SolverError]:
+    """Per point of a route's answers, in order: its amplitudes, psi and residual, or its error."""
+    for chunk in answers:
+        if not isinstance(chunk, _Chunk):
+            count, error = chunk
+            yield from (type(error)(*error.args) for _ in range(count))
+            continue
+        values = zip(chunk.big_r.tolist(), chunk.big_t.tolist(), chunk.psi, chunk.residual.tolist())
+        for p, (r, t, psi, res) in enumerate(values):
+            yield chunk.failures.get(p) or (ScatteringAmplitudes(R=r, T=t), psi, res)
+
+
+def _outcomes(answers: Iterable[_Answers]) -> Iterator[Outcome]:
+    """What a public stack yields per point: the report, or the error."""
+    return (point if isinstance(point, SolverError) else SolveReport(*point) for point in _points(answers))
 
 
 def _raise_or_return(outcome: Outcome) -> SolveReport:
@@ -379,7 +404,7 @@ def build_matching_system(win: InteractionWindow, phi: PhiAngle) -> tuple[np.nda
     return a[:, lower : lower + n], b[0]
 
 
-def _matching_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> list[Outcome]:
+def _matching_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> _Chunk:
     coeffs = _coefficients(stencils, phis)
     n = coeffs.shape[1] - 2
     step, two_sin, waves = _leads(stencils, phis, n)
@@ -396,7 +421,7 @@ def _matching_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> li
     psi[:, n + 3] = step * psi[:, n + 2]
     big_r = (x[:, 0] - waves[:, 0]) * waves[:, 0]
     big_t = x[:, -1] * waves[:, 2]
-    return _reports(stencils, coeffs, psi, big_r.tolist(), big_t.tolist(), failures)
+    return _gate(stencils, coeffs, psi, big_r, big_t, failures)
 
 
 def solve_matching(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
@@ -411,6 +436,10 @@ def solve_matching_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     exception it raises.  Consecutive points whose stencils share a shape
     share one band and are assembled and eliminated together.
     """
+    return _outcomes(_matching_answers(points))
+
+
+def _matching_answers(points: Iterable[Point]) -> Iterator[_Answers]:
     return _solve(points, _matching_blocker, _matching_chunk)
 
 
@@ -459,7 +488,7 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
     return psi, scale_exp
 
 
-def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> list[Outcome]:
+def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> _Chunk:
     width = stencils[0].hi - stencils[0].lo
     coeffs = _coefficients(stencils, phis)
     waves = _waves(stencils, phis, ((1, width), (1, width + 1), (1, width + 2), (-1, -2), (-1, -1), (1, -1), (1, -2)))
@@ -479,7 +508,7 @@ def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> li
     if scale_exp.any():
         big_t.real = np.ldexp(big_t.real, -scale_exp)
         big_t.imag = np.ldexp(big_t.imag, -scale_exp)
-    return _reports(stencils, coeffs, psi, (beta / alpha).tolist(), big_t.tolist(), failures)
+    return _gate(stencils, coeffs, psi, beta / alpha, big_t, failures)
 
 
 def solve_transfer_matrix(win: InteractionWindow, phi: PhiAngle) -> SolveReport:
@@ -499,6 +528,10 @@ def solve_transfer_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     every point of a run of one stencil shape at once; psi is rescaled per
     point.
     """
+    return _outcomes(_transfer_answers(points))
+
+
+def _transfer_answers(points: Iterable[Point]) -> Iterator[_Answers]:
     return _solve(points, _transfer_blocker, _transfer_chunk)
 
 
@@ -515,4 +548,4 @@ def residual(win: InteractionWindow, phi: PhiAngle, psi: np.ndarray) -> float:
     stencil = row_stencil(win)
     with np.errstate(all="ignore"):
         coeffs = _coefficients([stencil], [phi.phi])
-        return _residuals(coeffs, np.asarray(psi, dtype=complex)[None])[0]
+        return float(_residuals(coeffs, np.asarray(psi, dtype=complex)[None])[0])

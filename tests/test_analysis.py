@@ -1,5 +1,6 @@
 """Sweeps, unitarity summaries, and the cross-validation oracle triangle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -349,6 +350,19 @@ def test_random_window_draws_like_scalar_draws():
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
+def test_results_hold_builtin_types():
+    """The oracles and sweeps reduce arrays, yet hand out builtin types: a numpy scalar's repr is not its value's."""
+    crossval = cross_validate(2, x_values=(1.0, 0.5), phi_values=default_phi_grid(4))
+    for result in (crossval, transfer_matching_agreement(n_windows=3, angles_per_window=2)):
+        for field in dataclasses.fields(result):
+            expected = {"bool": bool, "int": int, "float": float}.get(field.type, tuple)
+            assert type(getattr(result, field.name)) is expected, field.name
+    assert [tuple(map(type, point)) for point in crossval.singular_points] == [(int, float)] * 3
+    assert type(probability_defect(1)) is float
+    for row in run_sweep(pair_spec(couplings=(0.5, 1.0), solvers=(SOLVER_MATCHING, SOLVER_TRANSFER))).rows:
+        assert (type(row.amplitudes.R), type(row.amplitudes.T), type(row.residual)) == (complex, complex, float)
+
+
 BAD_TOLERANCES = [math.nan, math.inf, -math.inf, -1e-9]
 
 
@@ -361,13 +375,13 @@ class TestToleranceGates:
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES)
     def test_cross_validate_rejects(self, tol, monkeypatch):
-        monkeypatch.setattr("ptscatter.analysis.solve_matching_stack", _no_solve)
+        monkeypatch.setattr("ptscatter.analysis._matching_answers", _no_solve)
         with pytest.raises(ValueError, match="tol must be finite and non-negative"):
             cross_validate(1, tol=tol)
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES)
     def test_transfer_matching_agreement_rejects(self, tol, monkeypatch):
-        monkeypatch.setattr("ptscatter.analysis.solve_matching_stack", _no_solve)
+        monkeypatch.setattr("ptscatter.analysis._matching_answers", _no_solve)
         with pytest.raises(ValueError, match="tol must be finite and non-negative"):
             transfer_matching_agreement(n_windows=5, tol=tol)
 
@@ -388,7 +402,7 @@ class TestToleranceGates:
 )
 def test_oracles_reject_checks_over_no_points(oracle, kwargs, message, monkeypatch):
     """An oracle over no points would pass vacuously; it is refused before any solve."""
-    for name in ("solve_matching_stack", "solve_transfer_stack"):
+    for name in ("_matching_answers", "_transfer_answers"):
         monkeypatch.setattr(f"ptscatter.analysis.{name}", _no_solve)
     with pytest.raises(ValueError, match=message):
         oracle(**kwargs)

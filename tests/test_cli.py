@@ -277,7 +277,7 @@ class TestSolveCommand:
     def test_pt_pair_wider_than_the_cap_exits_one_before_solving(self, monkeypatch, capsys, argv):
         """Separation 50000 spans MAX_WINDOW_SITES + 1 sites; no model of the run is solved."""
         stacks = []
-        for name in ("solve_matching_stack", "solve_transfer_stack"):
+        for name in ("_matching_answers", "_transfer_answers"):
             monkeypatch.setattr(analysis, name, lambda points: stacks.append(points))
         for name in ("solve_matching", "solve_transfer_matrix"):
             monkeypatch.setattr(cli, name, lambda *args: stacks.append(args))
@@ -404,7 +404,7 @@ class TestVerifyCommand:
         """The defect line needs no closed form and no ultralocal point."""
         closed_forms, windows = [], []
         monkeypatch.setattr(analysis, "closed_form_amplitudes", lambda *args: closed_forms.append(args))
-        for name in ("solve_matching_stack", "solve_transfer_stack"):
+        for name in ("_matching_answers", "_transfer_answers"):
             stack = getattr(analysis, name)
 
             def recording(points, stack=stack):

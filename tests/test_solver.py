@@ -20,7 +20,9 @@ from ptscatter import (
     build_ultralocal,
     residual,
     solve_matching,
+    solve_matching_stack,
     solve_transfer_matrix,
+    solve_transfer_stack,
 )
 from ptscatter.analysis import random_tridiagonal_window
 from ptscatter.core import MAX_WINDOW_SITES, PHI_EDGE_GUARD, plane_wave
@@ -291,6 +293,15 @@ class TestSolveReport:
             assert psi[m - base] == pytest.approx(expected, abs=1e-12)
         for m in range(win.hi, win.hi + 3):
             assert psi[m - base] == pytest.approx(amps.T * cmath.exp(1j * m * phi.phi), abs=1e-12)
+
+    def test_fields_are_builtin_numbers(self):
+        """The stacks compute in arrays, yet reports and the residual hold builtin numbers."""
+        win, phis = build_pt_delta_pair(2, 0.4), [PhiAngle(0.3), PhiAngle(1.1)]
+        for solve, stack in ((solve_matching, solve_matching_stack), (solve_transfer_matrix, solve_transfer_stack)):
+            for phi, report in [*zip(phis, stack([(win, phi) for phi in phis])), (phis[0], solve(win, phis[0]))]:
+                amps = report.amplitudes
+                assert (type(amps.R), type(amps.T), type(report.residual_max)) == (complex, complex, float)
+                assert type(residual(win, phi, report.psi)) is float
 
     def test_transfer_wavefunction_matches_matching(self):
         win = build_pt_delta_pair(2, 0.4)
