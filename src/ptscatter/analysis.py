@@ -141,7 +141,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
         # Closed forms need no window, so a closed-form-only sweep builds none.
         win = model.window() if numeric else None
-        outcomes = {tag: _points(routes[tag]([(win, phi) for phi in phis])) for tag in numeric}
+        outcomes = {tag: _points(routes[tag]([(win, phi) for phi in phis]), lambda *point: point) for tag in numeric}
         for phi in phis:
             for tag in solvers:
                 try:

@@ -43,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,6 +62,7 @@ _RESCALE_ABOVE = 1e100
 _STACK_BYTES = 4 << 20
 
 Point = tuple[InteractionWindow, PhiAngle]
+_Made = TypeVar("_Made")
 
 
 @dataclass(frozen=True)
@@ -278,11 +279,10 @@ def _gate(
 ) -> _Chunk:
     """The chunk's answers: a point its solve did not fail fails unless its residual passes its window's gate."""
     worst = _residuals(coeffs, psi)
-    tol = np.array([s.tol for s in stencils])
-    for p in (~(worst <= tol)).nonzero()[0].tolist():
-        if p not in failures:
+    for p, (res, stencil) in enumerate(zip(worst.tolist(), stencils)):
+        if not res <= stencil.tol and p not in failures:
             failures[p] = SingularSystem(
-                f"row residual {worst[p]:.3e} exceeds {tol[p]:.3e}; system too ill-conditioned to trust"
+                f"row residual {res:.3e} exceeds {stencil.tol:.3e}; system too ill-conditioned to trust"
             )
     return _Chunk(big_r, big_t, worst, psi, failures)
 
@@ -328,8 +328,10 @@ def _solve(
             yield answers
 
 
-def _points(answers: Iterable[_Answers]) -> Iterator[tuple[ScatteringAmplitudes, np.ndarray, float] | SolverError]:
-    """Per point of a route's answers, in order: its amplitudes, psi and residual, or its error."""
+def _points(
+    answers: Iterable[_Answers], report: Callable[[ScatteringAmplitudes, np.ndarray, float], _Made]
+) -> Iterator[_Made | SolverError]:
+    """Per point of a route's answers, in order: ``report(amplitudes, psi, residual)``, or its error."""
     for chunk in answers:
         if not isinstance(chunk, _Chunk):
             count, error = chunk
@@ -337,12 +339,7 @@ def _points(answers: Iterable[_Answers]) -> Iterator[tuple[ScatteringAmplitudes,
             continue
         values = zip(chunk.big_r.tolist(), chunk.big_t.tolist(), chunk.psi, chunk.residual.tolist())
         for p, (r, t, psi, res) in enumerate(values):
-            yield chunk.failures.get(p) or (ScatteringAmplitudes(R=r, T=t), psi, res)
-
-
-def _outcomes(answers: Iterable[_Answers]) -> Iterator[Outcome]:
-    """What a public stack yields per point: the report, or the error."""
-    return (point if isinstance(point, SolverError) else SolveReport(*point) for point in _points(answers))
+            yield chunk.failures.get(p) or report(ScatteringAmplitudes(R=r, T=t), psi, res)
 
 
 def _raise_or_return(outcome: Outcome) -> SolveReport:
@@ -436,7 +433,7 @@ def solve_matching_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     exception it raises.  Consecutive points whose stencils share a shape
     share one band and are assembled and eliminated together.
     """
-    return _outcomes(_matching_answers(points))
+    return _points(_matching_answers(points), SolveReport)
 
 
 def _matching_answers(points: Iterable[Point]) -> Iterator[_Answers]:
@@ -528,7 +525,7 @@ def solve_transfer_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     every point of a run of one stencil shape at once; psi is rescaled per
     point.
     """
-    return _outcomes(_transfer_answers(points))
+    return _points(_transfer_answers(points), SolveReport)
 
 
 def _transfer_answers(points: Iterable[Point]) -> Iterator[_Answers]:
