@@ -277,7 +277,7 @@ def _gate(
     big_t: np.ndarray,
     failures: dict[int, SolverError],
 ) -> _Chunk:
-    """The chunk's answers: a point its solve did not fail fails unless its residual passes its window's gate."""
+    """The chunk's answers; a point its solve left standing fails if its residual misses its window's gate."""
     worst = _residuals(coeffs, psi)
     for p, (res, stencil) in enumerate(zip(worst.tolist(), stencils)):
         if not res <= stencil.tol and p not in failures:
