@@ -105,6 +105,11 @@ class TestInteractionWindow:
         assert build_pt_delta_pair(3, 0.2).is_tridiagonal()
         assert not InteractionWindow(lo=0, hi=2, entries={(0, 2): 1.0}).is_tridiagonal()
 
+    def test_an_explicit_zero_beyond_nearest_neighbours_keeps_a_window_tridiagonal(self):
+        win = InteractionWindow(lo=0, hi=3, entries={(0, 3): 0, (3, 0): 0j, (1, 2): 0.2})
+        assert win.is_tridiagonal()
+        assert win == InteractionWindow(lo=0, hi=3, entries={(1, 2): 0.2})
+
 
 class TestModelBuilders:
     def test_pair_m1_entries(self):

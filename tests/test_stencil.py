@@ -379,6 +379,21 @@ def test_blocked_windows_fail_at_every_angle_with_fresh_exceptions():
     assert all(isinstance(o, NotTridiagonal) for o in solve_transfer_stack((wide, phi) for phi in phis))
 
 
+def test_two_severed_bonds_name_the_lowest_bond_for_matching_and_the_highest_for_transfer():
+    """Matching scans bonds from lo up, (i+1, i) before (i, i+1); transfer solves rows from hi down.
+
+    The entries are given out of site order, so neither message can come from the entry order.
+    """
+    win = InteractionWindow(lo=0, hi=4, entries={(4, 3): 1.0, (3, 4): 0.5, (1, 2): 1.0, (2, 1): 1.0})
+    phi = PhiAngle(1.0)
+    with pytest.raises(SingularSystem) as matching:
+        solve_matching(win, phi)
+    assert str(matching.value) == "total coupling -1 + W(2, 1) vanishes; the chain is severed at that bond"
+    with pytest.raises(ZeroHopping) as transfer:
+        solve_transfer_matrix(win, phi)
+    assert str(transfer.value) == "total coupling -1 + W[4, 3] vanishes"
+
+
 @pytest.mark.parametrize(
     "stack, reference",
     [(solve_matching_stack, reference_solve_matching), (solve_transfer_stack, reference_solve_transfer)],
