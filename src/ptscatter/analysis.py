@@ -14,19 +14,20 @@ it also holds both solvers to the ultralocal closed form.
 ``transfer_matching_agreement`` does the same for randomly generated
 tridiagonal windows, where no closed form is available at all.
 
-Sweeps and oracles read the solvers' chunk arrays, not per-point reports.
-Every modulus is ``np.hypot`` of the parts, which is Python's ``abs(complex)``
-to the bit where ``np.abs`` is not, and the defect is squared and summed in
-Python floats, as ``ScatteringAmplitudes.defect`` is (numpy's ``x * x`` is
-not always Python's ``x ** 2``), so every figure is its per-point value.
+Sweeps and oracles read the solvers' chunk arrays, not per-point reports,
+through ``_answers``, which keeps R, T and the residual of each chunk and
+drops its wavefunction.  Every modulus is ``np.hypot`` of the parts, which
+is Python's ``abs(complex)`` to the bit where ``np.abs`` is not, and the
+defect is squared and summed in Python floats, as
+``ScatteringAmplitudes.defect`` is (numpy's ``x * x`` is not always
+Python's ``x ** 2``), so every figure is its per-point value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from ._version import __version__
 from .closedforms import closed_form_amplitudes
 from .core import PT_PAIR, InteractionWindow, ModelFamily, PhiAngle, ScatteringAmplitudes, energy_from_phi
 from .errors import SingularSystem, SolverError
-from .solver import PIVOT_RTOL, RESIDUAL_RTOL, Point, _Chunk, _matching_answers, _points, _transfer_answers
+from .solver import PIVOT_RTOL, RESIDUAL_RTOL, Point, _Chunk, _matching_answers, _transfer_answers
 
 SOLVER_MATCHING = "matching"
 SOLVER_TRANSFER = "transfer"
@@ -141,41 +142,28 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         coupling = 0.0 if math.isnan(model.coupling) else model.coupling
         # Closed forms need no window, so a closed-form-only sweep builds none.
         win = model.window() if numeric else None
-        outcomes = {tag: _points(routes[tag]([(win, phi) for phi in phis]), lambda *point: point) for tag in numeric}
-        for phi in phis:
+        solved = {}
+        for tag in numeric:
+            *arrays, failures = _answers(routes[tag], [(win, phi) for phi in phis])
+            solved[tag] = [array.tolist() for array in arrays], failures
+        for k, phi in enumerate(phis):
             for tag in solvers:
-                try:
-                    if tag == SOLVER_CLOSED_FORM:
-                        amplitudes, residual = closed_form_amplitudes(model, phi), 0.0
-                    else:
-                        outcome = next(outcomes[tag])
-                        if isinstance(outcome, Exception):
-                            raise outcome
-                        amplitudes, _, residual = outcome
-                except (SolverError, ValueError) as exc:
-                    errors.append(
-                        SweepError(
-                            model=model.kind,
-                            m_sep=model.m_sep,
-                            coupling=coupling,
-                            phi=phi.phi,
-                            solver=tag,
-                            reason=f"{type(exc).__name__}: {exc}",
-                        )
+                if tag == SOLVER_CLOSED_FORM:
+                    try:
+                        amplitudes, residual, exc = closed_form_amplitudes(model, phi), 0.0, None
+                    except (SolverError, ValueError) as error:
+                        exc = error
+                else:
+                    (big_r, big_t, residuals), failures = solved[tag]
+                    amplitudes, residual = ScatteringAmplitudes(R=big_r[k], T=big_t[k]), residuals[k]
+                    exc = failures.get(k)
+                where = dict(model=model.kind, m_sep=model.m_sep, coupling=coupling, phi=phi.phi, solver=tag)
+                if exc is not None:
+                    errors.append(SweepError(**where, reason=f"{type(exc).__name__}: {exc}"))
+                else:
+                    rows.append(
+                        SweepRow(**where, energy=energy_from_phi(phi), amplitudes=amplitudes, residual=residual)
                     )
-                    continue
-                rows.append(
-                    SweepRow(
-                        model=model.kind,
-                        m_sep=model.m_sep,
-                        coupling=coupling,
-                        phi=phi.phi,
-                        energy=energy_from_phi(phi),
-                        amplitudes=amplitudes,
-                        solver=tag,
-                        residual=residual,
-                    )
-                )
     return SweepTable(meta=_table_meta(), rows=tuple(rows), errors=tuple(errors))
 
 
@@ -262,26 +250,30 @@ def _worst_defect(worst: float, amplitudes: np.ndarray) -> float:
     return max([worst, *(abs(r**2 + t**2 - 1.0) for r, t in pairs)])
 
 
+def _answers(
+    route: Callable[[Iterable[Point]], Iterator[_Chunk]], points: Sequence[Point]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
+    """R, T and the max row residual of one route per point of ``points``, and {point: error} of the points that failed.
+
+    A failed point's values mean nothing.  Each chunk's ``psi`` is dropped as
+    soon as the chunk is read, so at most one chunk's is held.
+    """
+    columns, failures, start = [], {}, 0
+    for chunk in route(points):
+        columns.append((chunk.big_r, chunk.big_t, chunk.residual))
+        failures.update((start + p, error) for p, error in chunk.failures.items())
+        start += len(chunk.residual)
+    return (*(np.concatenate(parts) for parts in zip(*columns)), failures)
+
+
 def _solved(points: Sequence[Point]) -> tuple[np.ndarray, dict[int, SolverError]]:
     """R and T of matching, then of transfer (rows), per point (columns), and {column: error} of the points that failed.
 
     The matching error is kept where both fail; a failed point's amplitudes mean nothing.
     """
-    amplitudes, failures = [], {}
-    for route in (_matching_answers, _transfer_answers):
-        parts, start = [], 0
-        for chunk in route(points):
-            if isinstance(chunk, _Chunk):
-                parts.append((chunk.big_r, chunk.big_t))
-                errors = chunk.failures.items()
-            else:
-                parts.append(np.zeros((2, chunk[0]), dtype=complex))
-                errors = zip(range(chunk[0]), itertools.repeat(chunk[1]))
-            for p, error in errors:
-                failures.setdefault(start + p, error)
-            start += len(parts[-1][0])
-        amplitudes.append(np.concatenate(parts, axis=1))
-    return np.concatenate(amplitudes), failures
+    m_r, m_t, _, m_failures = _answers(_matching_answers, points)
+    t_r, t_t, _, t_failures = _answers(_transfer_answers, points)
+    return np.array([m_r, m_t, t_r, t_t]), t_failures | m_failures
 
 
 def _delta_pair_grid(

@@ -41,7 +41,8 @@ PHI_EDGE_GUARD = 1e-8
 # 0.7 KB per site and angle, 1.2-3.4 s and ~100 MiB at this width; cost grows
 # with the cells.  So a window wider than this, or one whose band has more
 # cells than a tridiagonal window at this width, is refused before anything
-# is built.
+# is built.  So is a site further than this from the origin, where m*phi in
+# floating point loses the phase between neighbouring sites of e^{i m phi}.
 MAX_WINDOW_SITES = 100_000
 
 
@@ -81,20 +82,23 @@ class InteractionWindow:
 
     ``entries`` maps site pairs (i, j) to complex values; pairs that are
     absent count as zero.  The window spans at most MAX_WINDOW_SITES sites,
-    its band of sites * (3*max(1, reach) + 1) cells holds at most
-    4 * MAX_WINDOW_SITES, and every entry must have a finite modulus, so
-    ``max_abs_entry`` and the solvers' bond checks stay finite.  Entries
-    equal to exactly zero are dropped on construction, so windows that
-    differ only by explicit zero padding of the entry map compare equal.
-    The nonzero entries are also indexed by row, in entry order, for
-    ``row``; ``_memo`` keeps what the solvers derive from the entries (the
-    row stencil), built on first use.
+    all within MAX_WINDOW_SITES of the origin, its band of
+    sites * (3*max(1, reach) + 1) cells holds at most 4 * MAX_WINDOW_SITES,
+    and every entry must have a finite modulus, so ``max_abs_entry`` and the
+    solvers' bond checks stay finite.  Entries equal to exactly zero are
+    dropped on construction, so windows that differ only by explicit zero
+    padding of the entry map compare equal.  The nonzero entries are also
+    indexed by row, in entry order, for ``row``, and their reach, the
+    largest |i - j|, is kept for ``is_tridiagonal`` and the solvers' band;
+    ``_memo`` keeps what the solvers derive from the entries (the row
+    stencil), built on first use.
     """
 
     lo: int
     hi: int
     entries: Mapping[tuple[int, int], complex] = field(default_factory=dict)
     _rows: Mapping[int, tuple[tuple[int, complex], ...]] = field(init=False, repr=False, compare=False)
+    _reach: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -103,6 +107,8 @@ class InteractionWindow:
         sites = self.hi - self.lo + 1
         if sites > MAX_WINDOW_SITES:
             raise ValueError(f"window [{self.lo}, {self.hi}] spans {sites} sites; at most {MAX_WINDOW_SITES} are allowed")
+        if max(abs(self.lo), abs(self.hi)) > MAX_WINDOW_SITES:
+            raise ValueError(f"window [{self.lo}, {self.hi}] has a site beyond {MAX_WINDOW_SITES} of the origin")
         cleaned: dict[tuple[int, int], complex] = {}
         for (i, j), value in self.entries.items():
             if not (self.lo <= i <= self.hi and self.lo <= j <= self.hi):
@@ -120,6 +126,7 @@ class InteractionWindow:
                 f"the {4 * MAX_WINDOW_SITES} of a tridiagonal window {MAX_WINDOW_SITES} sites wide"
             )
         object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "_reach", reach)
         rows: dict[int, list[tuple[int, complex]]] = {}
         for (i, j), value in cleaned.items():
             rows.setdefault(i, []).append((j, value))
@@ -137,7 +144,7 @@ class InteractionWindow:
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
     def is_tridiagonal(self) -> bool:
-        return all(abs(i - j) <= 1 for i, j in self.entries)
+        return self._reach <= 1
 
 
 def build_pt_delta_pair(m_sep: int, x: float) -> InteractionWindow:

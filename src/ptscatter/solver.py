@@ -30,9 +30,10 @@ Python step per row, acting on all points), then the residual.  A chunk
 answers in arrays: R, T, the wavefunction on [lo-2, hi+2] and the maximum
 row residual over [lo-1, hi+1] of each point, the residual checked against
 RESIDUAL_RTOL * (1 + max |W|) before a point counts as solved, and the
-SolverError of each point that failed.  Only the public stacks turn these
-into one SolveReport per point, and the single-point functions are stacks
-of one; sweeps and oracles (``analysis``) read the arrays.  Both routes
+SolverError of each point that failed; a run of a window that fails before
+any arithmetic is one chunk of NaN answers.  Only the public stacks turn
+these into one SolveReport per point, and the single-point functions are
+stacks of one; sweeps and oracles (``analysis``) read the arrays.  Both routes
 lose accuracy as eps / sin(phi) towards the band edges, where the two
 plane waves merge.
 """
@@ -43,7 +44,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +63,6 @@ _RESCALE_ABOVE = 1e100
 _STACK_BYTES = 4 << 20
 
 Point = tuple[InteractionWindow, PhiAngle]
-_Made = TypeVar("_Made")
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def row_stencil(win: InteractionWindow) -> RowStencil:
 def _build_stencil(win: InteractionWindow) -> RowStencil:
     sites = range(win.lo - 1, win.hi + 2)
     rows = [hamiltonian_row(win, m, 0.0) for m in sites]
-    reach = max(abs(j - m) for m, row in zip(sites, rows) for j in row)
+    reach = max(1, win._reach)
     width = 2 * reach + 1
     # Flat index of each term in the (rows, width) band: row t, column reach + j - m.
     cells = [t * width + reach + j - m for t, (m, row) in enumerate(zip(sites, rows)) for j in row]
@@ -132,24 +132,14 @@ def _build_stencil(win: InteractionWindow) -> RowStencil:
     return RowStencil(win.lo, win.hi, reach, coeffs, RESIDUAL_RTOL * (1.0 + win.max_abs_entry()))
 
 
-def _severed_bond(win: InteractionWindow) -> tuple[int, int] | None:
-    """Adjacent (row, col) pair whose total coupling -1 + W vanishes, if any.
+def _vanishing_bonds(win: InteractionWindow) -> list[tuple[int, int]]:
+    """Nearest-neighbour pairs (r, c) whose total coupling -1 + W[r, c] cancels to rounding of its two terms.
 
-    Only meaningful for tridiagonal windows: a longer-range entry can bridge
-    a broken nearest-neighbour bond, so the scan is skipped in that case.
+    Only a window entry can cancel a hop.  The bonds come from lo up, (i+1, i) before (i, i+1).
     """
-    if not win.is_tridiagonal():
-        return None
-    # Bonds from lo up, (i+1, i) before (i, i+1); only a window entry can cancel a hop.
-    for _, (r, c) in sorted(((min(r, c), r < c), (r, c)) for r, c in win.entries if r != c):
-        if _bond_vanishes(win.entries[(r, c)]):
-            return r, c
-    return None
-
-
-def _bond_vanishes(w: complex) -> bool:
-    """Whether the total coupling -1 + w cancels to rounding of its two terms."""
-    return abs(-1.0 + w) <= HOPPING_RTOL * (1.0 + abs(w))
+    bonds = [(bond, w) for bond, w in win.entries.items() if abs(bond[0] - bond[1]) == 1]
+    vanishing = [bond for bond, w in bonds if abs(-1.0 + w) <= HOPPING_RTOL * (1.0 + abs(w))]
+    return sorted(vanishing, key=lambda bond: (min(bond), bond[0] < bond[1]))
 
 
 def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple[np.ndarray, dict[int, SingularSystem]]:
@@ -225,16 +215,14 @@ def _coefficients(stencils: Sequence[RowStencil], phis: Sequence[float]) -> np.n
 def _waves(stencils: Sequence[RowStencil], phis: Sequence[float], sites: Sequence[tuple[int, int]]) -> np.ndarray:
     """plane_wave(sign * (lo + d), phi) for each point (rows) and each (sign, d) in ``sites`` (columns).
 
-    One ``np.exp`` of the complex array 0 + i*(m*phi).  The site m is exact
-    in int64 (object for a window beyond that range), so m*phi rounds as
-    float(m)*phi does.
+    One ``np.exp`` of the complex array 0 + i*(m*phi).  A window lies within
+    MAX_WINDOW_SITES of the origin, so every site m is exact in int64 and
+    m*phi rounds as float(m)*phi does.
     """
-    lows = [s.lo for s in stencils]
-    exact = np.int64 if max(map(abs, lows)) < 2**62 else object
     sign, d = np.array(sites).T
-    m = sign * (np.array(lows, dtype=exact)[:, None] + d)
+    m = sign * (np.array([s.lo for s in stencils])[:, None] + d)
     arg = np.zeros(m.shape, dtype=complex)
-    arg.imag = m.astype(float) * np.array(phis)[:, None]
+    arg.imag = m * np.array(phis)[:, None]
     return np.exp(arg)
 
 
@@ -257,16 +245,16 @@ def _residuals(coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 class _Chunk(NamedTuple):
-    """One chunk's answers, one entry (a row of ``psi``) per point; a point in ``failures`` has no answer."""
+    """One chunk's answers, one entry (a row of ``psi``) per point; a point in ``failures`` has no answer.
+
+    A blocked run has NaN amplitudes and residuals, and ``psi`` of shape (count, 0).
+    """
 
     big_r: np.ndarray
     big_t: np.ndarray
     residual: np.ndarray
     psi: np.ndarray
     failures: dict[int, SolverError]
-
-
-_Answers = _Chunk | tuple[int, SolverError]  # what a route streams: chunks, and (count, error) per blocked run
 
 
 def _gate(
@@ -291,7 +279,7 @@ def _solve(
     points: Iterable[Point],
     blocker: Callable[[InteractionWindow], SolverError | None],
     solve_chunk: Callable[[Sequence[RowStencil], Sequence[float]], _Chunk],
-) -> Iterator[_Answers]:
+) -> Iterator[_Chunk]:
     """Answers of ``points``, any iterable, in the order given, streamed.
 
     ``blocker(win)`` returns the SolverError every angle of a window fails
@@ -300,8 +288,9 @@ def _solve(
     points whose stencils share the shape (rows, 2*reach + 1) is solved by
     ``solve_chunk(stencils, phis)`` in chunks that keep the working arrays
     within _STACK_BYTES.  A chunk's answers are yielded as soon as it is
-    full or its run ends, so at most one chunk of points is held; a blocked
-    run of consecutive points yields (its length, its error).
+    full or its run ends, so at most one chunk of points is held.  A blocked
+    run of consecutive points is one chunk, each point failing with its own
+    copy of the error.
     """
 
     def prepared() -> Iterator[tuple[tuple[int, int] | SolverError, RowStencil | SolverError, float]]:
@@ -314,7 +303,10 @@ def _solve(
 
     for key, run in itertools.groupby(prepared(), operator.itemgetter(0)):
         if isinstance(key, SolverError):
-            yield sum(1 for _ in run), key
+            count = sum(1 for _ in run)
+            nan = np.full(count, np.nan, dtype=complex)
+            failures = {p: type(key)(*key.args) for p in range(count)}
+            yield _Chunk(nan, nan, nan.real, np.empty((count, 0), dtype=complex), failures)
             continue
         # Per point: the stored band (3*reach + 1 complex per row), its
         # magnitudes and update temporaries, then the rhs, solution and psi
@@ -328,18 +320,12 @@ def _solve(
             yield answers
 
 
-def _points(
-    answers: Iterable[_Answers], report: Callable[[ScatteringAmplitudes, np.ndarray, float], _Made]
-) -> Iterator[_Made | SolverError]:
-    """Per point of a route's answers, in order: ``report(amplitudes, psi, residual)``, or its error."""
+def _points(answers: Iterable[_Chunk]) -> Iterator[Outcome]:
+    """Per point of a route's chunks, in order: its SolveReport, or its error."""
     for chunk in answers:
-        if not isinstance(chunk, _Chunk):
-            count, error = chunk
-            yield from (type(error)(*error.args) for _ in range(count))
-            continue
         values = zip(chunk.big_r.tolist(), chunk.big_t.tolist(), chunk.psi, chunk.residual.tolist())
         for p, (r, t, psi, res) in enumerate(values):
-            yield chunk.failures.get(p) or report(ScatteringAmplitudes(R=r, T=t), psi, res)
+            yield chunk.failures.get(p) or SolveReport(ScatteringAmplitudes(R=r, T=t), psi, res)
 
 
 def _raise_or_return(outcome: Outcome) -> SolveReport:
@@ -349,10 +335,10 @@ def _raise_or_return(outcome: Outcome) -> SolveReport:
 
 
 def _matching_blocker(win: InteractionWindow) -> SolverError | None:
-    bond = _severed_bond(win)
-    if bond is None:
+    bonds = win.is_tridiagonal() and _vanishing_bonds(win)  # a longer-range entry can bridge a broken bond
+    if not bonds:
         return None
-    return SingularSystem(f"total coupling -1 + W{bond} vanishes; the chain is severed at that bond")
+    return SingularSystem(f"total coupling -1 + W{bonds[0]} vanishes; the chain is severed at that bond")
 
 
 def _leads(stencils: Sequence[RowStencil], phis: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -433,10 +419,10 @@ def solve_matching_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     exception it raises.  Consecutive points whose stencils share a shape
     share one band and are assembled and eliminated together.
     """
-    return _points(_matching_answers(points), SolveReport)
+    return _points(_matching_answers(points))
 
 
-def _matching_answers(points: Iterable[Point]) -> Iterator[_Answers]:
+def _matching_answers(points: Iterable[Point]) -> Iterator[_Chunk]:
     return _solve(points, _matching_blocker, _matching_chunk)
 
 
@@ -444,11 +430,11 @@ def _transfer_blocker(win: InteractionWindow) -> SolverError | None:
     if not win.is_tridiagonal():
         offender = next((i, j) for i, j in sorted(win.entries) if abs(i - j) > 1)
         return NotTridiagonal(f"window entry {offender} lies beyond nearest neighbours")
-    # Rows hi .. lo-1 are solved top down; only a window entry W[m, m-1] can cancel the hop.
-    for m in sorted((i for i, j in win.entries if i - j == 1), reverse=True):
-        if _bond_vanishes(win.entries[(m, m - 1)]):
-            return ZeroHopping(f"total coupling -1 + W[{m}, {m - 1}] vanishes")
-    return None
+    # Rows hi .. lo-1 are solved top down, so the highest vanishing W[m, m-1] stops the recursion first.
+    severed = [m for m, c in _vanishing_bonds(win) if m > c]
+    if not severed:
+        return None
+    return ZeroHopping(f"total coupling -1 + W[{severed[-1]}, {severed[-1] - 1}] vanishes")
 
 
 def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,10 +511,10 @@ def solve_transfer_stack(points: Iterable[Point]) -> Iterator[Outcome]:
     every point of a run of one stencil shape at once; psi is rescaled per
     point.
     """
-    return _points(_transfer_answers(points), SolveReport)
+    return _points(_transfer_answers(points))
 
 
-def _transfer_answers(points: Iterable[Point]) -> Iterator[_Answers]:
+def _transfer_answers(points: Iterable[Point]) -> Iterator[_Chunk]:
     return _solve(points, _transfer_blocker, _transfer_chunk)
 
 

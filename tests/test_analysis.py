@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -328,6 +329,26 @@ class TestOracleGroups:
     def test_probability_defect_rejects_nonpositive_m_max(self):
         with pytest.raises(ValueError, match="m_max must be >= 1"):
             probability_defect(0)
+
+
+def test_answers_keep_at_most_one_chunk_of_psi():
+    """``_answers`` drops each chunk's psi as it reads the next, and numbers errors across chunks."""
+    held = []
+
+    def chunk(k):
+        psi = np.zeros((2, 5), dtype=complex)
+        held.append(weakref.ref(psi))
+        failures = {1: SingularSystem("blocked")} if k == 1 else {}
+        return analysis._Chunk(np.full(2, complex(k)), np.zeros(2, dtype=complex), np.full(2, 1e-16), psi, failures)
+
+    def route(points):
+        for k in range(3):
+            assert all(ref() is None for ref in held[:-1])  # only the chunk read last may still be alive
+            yield chunk(k)
+
+    big_r, big_t, residual, failures = analysis._answers(route, [None] * 6)
+    assert big_r.tolist() == [0, 0, 1, 1, 2, 2] and big_t.shape == residual.shape == (6,)
+    assert list(failures) == [3] and str(failures[3]) == "blocked"
 
 
 def scalar_draw_window(rng, width, lo):

@@ -251,6 +251,18 @@ class TestSolveCommand:
             f"at most {MAX_WINDOW_SITES} are allowed\n"
         )
 
+    @pytest.mark.parametrize("lo", [10**6, 10**400])
+    @pytest.mark.parametrize("command", [["solve", "--phi", "1.0"], ["sweep", "--phi-range", "1:1:1"], ["check-pt"]])
+    def test_window_placed_beyond_the_cap_exits_one(self, tmp_path, capsys, command, lo):
+        """A regular two-site window far out: m*phi would lose the phase between its sites (10**400 overflows a float)."""
+        path = tmp_path / "far.json"
+        entries = [{"i": lo, "j": lo + 1, "re": 0.3}, {"i": lo + 1, "j": lo, "re": -0.3}]
+        path.write_text(json.dumps({"lo": lo, "hi": lo + 1, "entries": entries}))
+        assert main([command[0], "--model", "custom", "--window", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ptscatter: error: window [{lo}, {lo + 1}] has a site beyond {MAX_WINDOW_SITES} of the origin\n"
+
     @pytest.mark.parametrize("command", [["solve", "--phi", "1.0"], ["sweep", "--phi-range", "1:1:1"], ["check-pt"]])
     def test_window_band_beyond_the_cap_exits_one(self, tmp_path, capsys, command):
         """A width within the cap, but one entry 99999 sites off the diagonal: its band would hold 3e10 cells."""

@@ -80,6 +80,19 @@ class TestInteractionWindow:
         with pytest.raises(ValueError, match=f"spans {MAX_WINDOW_SITES + 1} sites; at most {MAX_WINDOW_SITES}"):
             InteractionWindow(lo=-50, hi=MAX_WINDOW_SITES - 50)
 
+    def test_accepts_sites_at_the_placement_cap(self):
+        assert InteractionWindow(lo=-MAX_WINDOW_SITES, hi=-MAX_WINDOW_SITES + 1).lo == -MAX_WINDOW_SITES
+        assert InteractionWindow(lo=MAX_WINDOW_SITES - 1, hi=MAX_WINDOW_SITES).hi == MAX_WINDOW_SITES
+
+    @pytest.mark.parametrize("lo, hi", [(-MAX_WINDOW_SITES - 1, -MAX_WINDOW_SITES), (MAX_WINDOW_SITES, MAX_WINDOW_SITES + 1)])
+    def test_rejects_a_site_beyond_the_placement_cap(self, lo, hi):
+        with pytest.raises(ValueError, match=f"has a site beyond {MAX_WINDOW_SITES} of the origin"):
+            InteractionWindow(lo=lo, hi=hi)
+
+    def test_width_cap_is_checked_before_placement(self):
+        with pytest.raises(ValueError, match=f"spans {MAX_WINDOW_SITES + 1} sites; at most {MAX_WINDOW_SITES}"):
+            InteractionWindow(lo=10**6, hi=10**6 + MAX_WINDOW_SITES)
+
     def test_accepts_a_band_at_the_cap(self):
         """Reach 3 stores 10 cells a site, so 40000 sites fill the 4 * MAX_WINDOW_SITES cells of the cap."""
         sites = 4 * MAX_WINDOW_SITES // 10

@@ -24,7 +24,7 @@ from ptscatter import (
     solve_transfer_matrix,
     solve_transfer_stack,
 )
-from ptscatter.analysis import random_tridiagonal_window
+from ptscatter.analysis import default_phi_grid, random_tridiagonal_window
 from ptscatter.core import MAX_WINDOW_SITES, PHI_EDGE_GUARD, plane_wave
 from ptscatter.solver import _waves
 
@@ -369,5 +369,15 @@ class TestPlaneWaves:
         phis[:6] = [PHI_EDGE_GUARD, math.pi - PHI_EDGE_GUARD] * 3
         self.check(lows, phis)
 
-    def test_sites_beyond_int64(self):
-        self.check([2**70, -(2**63), 5], [1.0, 0.3, 2.9])
+
+@BOTH_SOLVERS
+def test_window_at_the_placement_cap_solves_as_at_the_origin(solve):
+    """Moving a window by s keeps T and multiplies R by e^{2i phi s}, so |R| stays too."""
+
+    def ultralocal_at(lo):
+        return InteractionWindow(lo=lo, hi=lo + 1, entries={(lo, lo + 1): 0.3, (lo + 1, lo): -0.3})
+
+    for phi in default_phi_grid(50):
+        far, near = solve(ultralocal_at(-MAX_WINDOW_SITES), phi), solve(ultralocal_at(0), phi)
+        assert abs(far.amplitudes.T - near.amplitudes.T) <= 1e-9
+        assert abs(abs(far.amplitudes.R) - abs(near.amplitudes.R)) <= 1e-9
