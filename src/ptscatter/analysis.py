@@ -255,8 +255,8 @@ def _answers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
     """R, T and the max row residual of one route per point of ``points``, and {point: error} of the points that failed.
 
-    A failed point's values mean nothing.  Each chunk's ``psi`` is dropped as
-    soon as the chunk is read, so at most one chunk's is held.
+    A failed point's values mean nothing.  Each chunk's ``psi`` is dropped
+    when the next chunk is read, so only the last chunk's is held.
     """
     columns, failures, start = [], {}, 0
     for chunk in route(points):
