@@ -255,14 +255,15 @@ def _answers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
     """R, T and the max row residual of one route per point of ``points``, and {point: error} of the points that failed.
 
-    A failed point's values mean nothing.  Each chunk's ``psi`` is dropped
-    when the next chunk is read, so only the last chunk's is held.
+    A failed point's values mean nothing.  Each chunk is let go before the
+    next one is solved, so at most one chunk's ``psi`` is alive at a time.
     """
     columns, failures, start = [], {}, 0
     for chunk in route(points):
         columns.append((chunk.big_r, chunk.big_t, chunk.residual))
         failures.update((start + p, error) for p, error in chunk.failures.items())
         start += len(chunk.residual)
+        del chunk
     return (*(np.concatenate(parts) for parts in zip(*columns)), failures)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -81,64 +82,68 @@ class InteractionWindow:
     """Finite interaction block W on lattice sites [lo, hi], stored sparsely.
 
     ``entries`` maps site pairs (i, j) to complex values; pairs that are
-    absent count as zero.  The window spans at most MAX_WINDOW_SITES sites,
-    all within MAX_WINDOW_SITES of the origin, its band of
-    sites * (3*max(1, reach) + 1) cells holds at most 4 * MAX_WINDOW_SITES,
-    and every entry must have a finite modulus, so ``max_abs_entry`` and the
-    solvers' bond checks stay finite.  Entries equal to exactly zero are
-    dropped on construction, so windows that differ only by explicit zero
-    padding of the entry map compare equal.  The nonzero entries are also
-    indexed by row, in entry order, for ``row``, and their reach, the
-    largest |i - j|, is kept for ``is_tridiagonal`` and the solvers' band;
-    ``_memo`` keeps what the solvers derive from the entries (the row
-    stencil), built on first use.
+    absent count as zero.  lo, hi, i and j are integers (``operator.index``,
+    kept as int), so no two keys round onto one pair.  The window spans at
+    most MAX_WINDOW_SITES sites, all within MAX_WINDOW_SITES of the origin,
+    its band of sites * (3*max(1, reach) + 1) cells holds at most
+    4 * MAX_WINDOW_SITES, and every entry must have a finite modulus, so
+    ``max_abs_entry`` and the solvers' bond checks stay finite.  Entries
+    equal to exactly zero are dropped on construction, so windows that
+    differ only by explicit zero padding of the entry map compare equal.
+    Their reach, the largest |i - j|, is kept for ``is_tridiagonal`` and
+    the solvers' band; ``_memo`` keeps the row stencil, built on first use.
     """
 
     lo: int
     hi: int
     entries: Mapping[tuple[int, int], complex] = field(default_factory=dict)
-    _rows: Mapping[int, tuple[tuple[int, complex], ...]] = field(init=False, repr=False, compare=False)
     _reach: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"window bounds out of order: lo={self.lo} > hi={self.hi}")
-        sites = self.hi - self.lo + 1
+        try:
+            lo, hi = operator.index(self.lo), operator.index(self.hi)
+        except TypeError:
+            raise ValueError(f"window bounds must be integers, got lo={self.lo!r}, hi={self.hi!r}") from None
+        if lo > hi:
+            raise ValueError(f"window bounds out of order: lo={lo} > hi={hi}")
+        sites = hi - lo + 1
         if sites > MAX_WINDOW_SITES:
-            raise ValueError(f"window [{self.lo}, {self.hi}] spans {sites} sites; at most {MAX_WINDOW_SITES} are allowed")
-        if max(abs(self.lo), abs(self.hi)) > MAX_WINDOW_SITES:
-            raise ValueError(f"window [{self.lo}, {self.hi}] has a site beyond {MAX_WINDOW_SITES} of the origin")
+            raise ValueError(f"window [{lo}, {hi}] spans {sites} sites; at most {MAX_WINDOW_SITES} are allowed")
+        if max(abs(lo), abs(hi)) > MAX_WINDOW_SITES:
+            raise ValueError(f"window [{lo}, {hi}] has a site beyond {MAX_WINDOW_SITES} of the origin")
         cleaned: dict[tuple[int, int], complex] = {}
         for (i, j), value in self.entries.items():
-            if not (self.lo <= i <= self.hi and self.lo <= j <= self.hi):
-                raise ValueError(f"entry ({i}, {j}) outside window [{self.lo}, {self.hi}]")
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise ValueError(f"entry ({i!r}, {j!r}) must have integer indices") from None
+            if not (lo <= i <= hi and lo <= j <= hi):
+                raise ValueError(f"entry ({i}, {j}) outside window [{lo}, {hi}]")
             value = complex(value)
             if not math.isfinite(math.hypot(value.real, value.imag)):
                 raise ValueError(f"entry ({i}, {j}) = {value} must have a finite modulus")
             if value != 0:
-                cleaned[(int(i), int(j))] = value
+                cleaned[(i, j)] = value
         reach = max((abs(i - j) for i, j in cleaned), default=0)
         cells = sites * (3 * max(1, reach) + 1)
         if cells > 4 * MAX_WINDOW_SITES:
             raise ValueError(
-                f"window [{self.lo}, {self.hi}] has reach {reach}: its band of {cells} cells exceeds "
+                f"window [{lo}, {hi}] has reach {reach}: its band of {cells} cells exceeds "
                 f"the {4 * MAX_WINDOW_SITES} of a tridiagonal window {MAX_WINDOW_SITES} sites wide"
             )
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "entries", cleaned)
         object.__setattr__(self, "_reach", reach)
-        rows: dict[int, list[tuple[int, complex]]] = {}
-        for (i, j), value in cleaned.items():
-            rows.setdefault(i, []).append((j, value))
-        object.__setattr__(self, "_rows", {i: tuple(row) for i, row in rows.items()})
         object.__setattr__(self, "_memo", {})
 
     def entry(self, i: int, j: int) -> complex:
         return self.entries.get((i, j), 0j)
 
     def row(self, i: int) -> tuple[tuple[int, complex], ...]:
-        """Nonzero entries (j, W[i, j]) of row i."""
-        return self._rows.get(i, ())
+        """Nonzero entries (j, W[i, j]) of row i, in entry order; a scan of every entry."""
+        return tuple((j, value) for (r, j), value in self.entries.items() if r == i)
 
     def max_abs_entry(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)

@@ -18,7 +18,7 @@ the two left-most free samples are matched against
 alpha*exp(i*m*phi) + beta*exp(-i*m*phi), giving T = 1/alpha, R = beta/alpha.
 
 Both routes read their rows from one ``RowStencil`` per window, built from
-``hamiltonian_row`` and kept as a dense band (one column per offset
+the window's entries and kept as a dense band (one column per offset
 j - m), so their sign conventions cannot drift; agreement between them is
 the primary correctness oracle for windows without a closed-form solution.
 Each route has one batch entry, ``solve_matching_stack`` /
@@ -84,8 +84,8 @@ Outcome = SolveReport | SolverError
 def hamiltonian_row(win: InteractionWindow, m: int, two_cos: float) -> dict[int, complex]:
     """Coefficients {j: c} of Schroedinger row m: sum_j c_j psi[j] = 0.
 
-    Row m reads -psi[m-1] + 2*cos(phi)*psi[m] - psi[m+1] + sum_j W[m,j]*psi[j];
-    both solvers build their equations from this single map.
+    Row m reads -psi[m-1] + 2*cos(phi)*psi[m] - psi[m+1] + sum_j W[m,j]*psi[j].
+    The tests' reference for the rows the solvers read from ``row_stencil``.
     """
     row: dict[int, complex] = {m - 1: -1.0 + 0j, m: complex(two_cos), m + 1: -1.0 + 0j}
     for j, w in win.row(m):
@@ -96,40 +96,31 @@ def hamiltonian_row(win: InteractionWindow, m: int, two_cos: float) -> dict[int,
 class RowStencil(NamedTuple):
     """Rows lo-1 .. hi+1 of one window's lattice equation, built once for all angles.
 
-    Row t is site m = lo - 1 + t, and ``coeffs[t, reach + d]`` is the
-    coefficient ``hamiltonian_row(win, m, 0.0)`` gives site m + d, zero
-    where the row has no term.  ``reach`` is the largest |j - m| of any
-    term, at least 1; column ``reach`` (site m) gets 2*cos(phi) added at
-    each angle.  ``tol`` is the residual gate RESIDUAL_RTOL * (1 + max |W|).
-    Windows whose ``coeffs`` have one shape stack into one batch whatever
-    their ``lo`` and whichever band cells they fill.
+    ``coeffs`` has shape (hi - lo + 3, 2*reach + 1), ``reach`` being the
+    largest |j - m| of any term, at least 1.  Row t is site m = lo - 1 + t,
+    and ``coeffs[t, reach + d]`` is the coefficient of site m + d that
+    ``hamiltonian_row(win, m, 0.0)`` gives, zero where the row has no term;
+    column ``reach`` gets 2*cos(phi) added at each angle.  ``tol`` is the
+    residual gate RESIDUAL_RTOL * (1 + max |W|).  Windows whose ``coeffs``
+    have one shape stack into one batch whatever their ``lo``.
     """
 
     lo: int
-    hi: int
-    reach: int
     coeffs: np.ndarray
     tol: float
 
 
 def row_stencil(win: InteractionWindow) -> RowStencil:
     """The window's stencil, built on first use and kept with the (immutable) window."""
-    stencil = win._memo.get("stencil")
-    if stencil is None:
-        stencil = win._memo["stencil"] = _build_stencil(win)
-    return stencil
-
-
-def _build_stencil(win: InteractionWindow) -> RowStencil:
-    sites = range(win.lo - 1, win.hi + 2)
-    rows = [hamiltonian_row(win, m, 0.0) for m in sites]
-    reach = max(1, win._reach)
-    width = 2 * reach + 1
-    # Flat index of each term in the (rows, width) band: row t, column reach + j - m.
-    cells = [t * width + reach + j - m for t, (m, row) in enumerate(zip(sites, rows)) for j in row]
-    coeffs = np.zeros((len(rows), width), dtype=complex)
-    coeffs.flat[cells] = [c for row in rows for c in row.values()]
-    return RowStencil(win.lo, win.hi, reach, coeffs, RESIDUAL_RTOL * (1.0 + win.max_abs_entry()))
+    if "stencil" not in win._memo:
+        reach = max(1, win._reach)
+        coeffs = np.zeros((win.hi - win.lo + 3, 2 * reach + 1), dtype=complex)
+        coeffs[:, [reach - 1, reach + 1]] = -1.0
+        # Entry (i, j) is cell (i - lo + 1, reach + j - i); distinct keys never share a cell.
+        i, j = np.array(list(win.entries), dtype=np.int64).reshape(-1, 2).T
+        coeffs[i - win.lo + 1, reach + j - i] += np.array(list(win.entries.values()), dtype=complex)
+        win._memo["stencil"] = RowStencil(win.lo, coeffs, RESIDUAL_RTOL * (1.0 + win.max_abs_entry()))
+    return win._memo["stencil"]
 
 
 def _vanishing_bonds(win: InteractionWindow) -> list[tuple[int, int]]:
@@ -208,7 +199,7 @@ def _eliminate(band: np.ndarray, b: np.ndarray, lower: int, upper: int) -> tuple
 def _coefficients(stencils: Sequence[RowStencil], phis: Sequence[float]) -> np.ndarray:
     """Row coefficients of every point, shape (P, rows, 2*reach + 1), 2*cos(phi) added at column reach."""
     coeffs = np.array([s.coeffs for s in stencils])
-    coeffs.real[:, :, stencils[0].reach] += np.array([2.0 * math.cos(phi) for phi in phis])[:, None]
+    coeffs.real[:, :, coeffs.shape[2] // 2] += np.array([2.0 * math.cos(phi) for phi in phis])[:, None]
     return coeffs
 
 
@@ -317,7 +308,8 @@ def _solve(
             _, stencils, phis = zip(*part)
             with np.errstate(all="ignore"):
                 answers = solve_chunk(stencils, phis)
-            yield answers
+            yield answers  # outside errstate: suspended inside, it would silence the caller's warnings
+            del answers
 
 
 def _points(answers: Iterable[_Chunk]) -> Iterator[Outcome]:
@@ -326,6 +318,7 @@ def _points(answers: Iterable[_Chunk]) -> Iterator[Outcome]:
         values = zip(chunk.big_r.tolist(), chunk.big_t.tolist(), chunk.psi, chunk.residual.tolist())
         for p, (r, t, psi, res) in enumerate(values):
             yield chunk.failures.get(p) or SolveReport(ScatteringAmplitudes(R=r, T=t), psi, res)
+        del chunk, values, psi  # every chunk has a point; psi is a view of the chunk's
 
 
 def _raise_or_return(outcome: Outcome) -> SolveReport:
@@ -472,8 +465,8 @@ def _back_substitute(coeffs: np.ndarray, waves: np.ndarray) -> tuple[np.ndarray,
 
 
 def _transfer_chunk(stencils: Sequence[RowStencil], phis: Sequence[float]) -> _Chunk:
-    width = stencils[0].hi - stencils[0].lo
     coeffs = _coefficients(stencils, phis)
+    width = coeffs.shape[1] - 3  # hi - lo
     waves = _waves(stencils, phis, ((1, width), (1, width + 1), (1, width + 2), (-1, -2), (-1, -1), (1, -1), (1, -2)))
     psi, scale_exp = _back_substitute(coeffs, waves[:, :3])
 

@@ -332,7 +332,7 @@ class TestOracleGroups:
 
 
 def test_answers_keep_at_most_one_chunk_of_psi():
-    """``_answers`` drops each chunk's psi as it reads the next, and numbers errors across chunks."""
+    """``_answers`` lets each chunk's psi go before it reads the next, and numbers errors across chunks."""
     held = []
 
     def chunk(k):
@@ -343,7 +343,7 @@ def test_answers_keep_at_most_one_chunk_of_psi():
 
     def route(points):
         for k in range(3):
-            assert all(ref() is None for ref in held[:-1])  # only the chunk read last may still be alive
+            assert all(ref() is None for ref in held)  # no chunk read before is still alive
             yield chunk(k)
 
     big_r, big_t, residual, failures = analysis._answers(route, [None] * 6)

@@ -5,6 +5,12 @@ workloads read model fields and oracle defaults.  The traced benchmark run
 is not part of this suite, so a deleted or renamed name would otherwise go
 unnoticed until that run breaks.  The tracing module is loaded by path and
 only read.
+
+Some of these names are kept for the harness alone: the solvers build
+their rows from the window's entries, so ``hamiltonian_row`` and
+``InteractionWindow.row`` serve only as the tests' row reference, and
+``ModelFamily.x`` / ``.a`` only alias ``coupling``.  They go once the
+harness stops looking them up.
 """
 
 import importlib

@@ -61,6 +61,34 @@ class TestInteractionWindow:
             InteractionWindow(lo=0, hi=1, entries={(0, 2): 1.0})
 
     @pytest.mark.parametrize(
+        "entries",
+        [{(0.5, 0): 1.0}, {(0.5, 0): 1.0, (0, 0): 2.0}, {(0, 1.0): 1.0}, {(0, np.float64(1)): 1.0}, {("0", 1): 1.0}],
+    )
+    def test_rejects_non_integer_entry_indices(self, entries):
+        with pytest.raises(ValueError, match=r"must have integer indices"):
+            InteractionWindow(lo=0, hi=1, entries=entries)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1), (0, 1.5), (np.float64(0), 1), (None, 1)])
+    def test_rejects_non_integer_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match=r"window bounds must be integers"):
+            InteractionWindow(lo=lo, hi=hi)
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        entries = {(np.int64(0), np.int8(1)): 0.5, (np.uint16(1), 0): -0.5}
+        win = InteractionWindow(lo=np.int64(-1), hi=np.int32(1), entries=entries)
+        assert (win.lo, win.hi, win.entries) == (-1, 1, {(0, 1): 0.5, (1, 0): -0.5})
+        assert all(type(k) is int for k in (win.lo, win.hi, *(k for key in win.entries for k in key)))
+        assert win == InteractionWindow(lo=-1, hi=1, entries={(0, 1): 0.5, (1, 0): -0.5})
+
+    def test_row_lists_its_entries_in_entry_order(self):
+        """(j, W[i, j]) in the order the entries were given, exact zeros dropped, () for an empty row."""
+        win = InteractionWindow(lo=0, hi=3, entries={(1, 3): 0.5, (2, 2): 1j, (1, 0): -0.0, (1, 1): 2.0, (3, 1): 0.25})
+        assert win.row(1) == ((3, 0.5), (1, 2.0))
+        assert win.row(2) == ((2, 1j),)
+        assert win.row(0) == ()
+        assert win.row(7) == ()
+
+    @pytest.mark.parametrize(
         "value",
         [math.nan, complex(0.5, math.nan), math.inf, complex(0.0, -math.inf), complex(1.5e308, 1.5e308), -1.7e308 - 1.7e308j],
     )

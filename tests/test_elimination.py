@@ -10,11 +10,14 @@ in stacks that share a band.  The sweep and memory tests check the angle
 stacks built on that kernel.
 """
 
+import collections
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,10 +28,12 @@ from ptscatter import (
     SingularSystem,
     SweepSpec,
     build_matching_system,
+    build_pt_delta_pair,
     run_sweep,
     solve_matching,
     solve_matching_stack,
 )
+from ptscatter import solver
 from ptscatter.solver import PIVOT_RTOL, _eliminate
 
 
@@ -238,3 +243,41 @@ def test_full_width_window_sweep_memory():
     peak, table = _traced_peak(SweepSpec(models=[ModelFamily.custom_window(win)], phis=phis))
     assert len(table.rows) == 2000
     assert peak < PEAK_LIMIT
+
+
+def _sweep(win, phis):
+    run_sweep(SweepSpec(models=[ModelFamily.custom_window(win)], phis=phis, solvers=("matching",)))
+
+
+def _read_stack(win, phis):
+    collections.deque(solve_matching_stack((win, phi) for phi in phis), maxlen=0)  # keeps no report
+
+
+@pytest.mark.parametrize("solve", [_sweep, _read_stack])
+def test_one_chunk_is_held_at_a_time(monkeypatch, solve):
+    """No chunk's psi is alive while the next chunk is solved, for sweeps and for the public stacks.
+
+    700 sites of reach 62 fill a chunk's memory budget with one point, so
+    the 9 angles are solved in 9 chunks.
+    """
+    build = solver._matching_chunk
+    previous, held = [], []
+
+    def spy(stencils, phis):
+        held.append(bool(previous) and previous[-1]() is not None)
+        chunk = build(stencils, phis)
+        previous.append(weakref.ref(chunk.psi))
+        return chunk
+
+    monkeypatch.setattr(solver, "_matching_chunk", spy)
+    win = InteractionWindow(lo=0, hi=699, entries={(0, 62): 0.1, (5, 5): 0.2})
+    solve(win, tuple(PhiAngle(0.1 + 0.3 * k) for k in range(9)))
+    assert held == [False] * 9
+
+
+def test_a_suspended_stack_leaves_the_callers_warnings_on():
+    """The stacks silence floating-point warnings only while they solve, not while they wait to be read."""
+    before = np.geterr()
+    stack = solve_matching_stack((build_pt_delta_pair(1, 0.3), PhiAngle(phi)) for phi in (0.5, 1.0))
+    next(stack)
+    assert np.geterr() == before

@@ -41,7 +41,7 @@ from ptscatter import (
     solve_transfer_stack,
 )
 from ptscatter.core import plane_wave
-from ptscatter.solver import HOPPING_RTOL, PIVOT_RTOL, RESIDUAL_RTOL, hamiltonian_row
+from ptscatter.solver import HOPPING_RTOL, PIVOT_RTOL, RESIDUAL_RTOL, hamiltonian_row, row_stencil
 
 TOL = 1e-13
 
@@ -307,6 +307,37 @@ def test_matching_system_matches_the_per_point_assembly(win, phis):
         assert a.shape == ra.shape and b.shape == rb.shape
         assert np.abs(a - ra).max() <= 1e-15 * np.abs(ra).max()
         assert np.abs(b - rb).max() <= 1e-15 * np.abs(rb).max()
+
+
+# Off-diagonal values one rounding step either side of cancelling a hop, besides PARTS.
+STENCIL_PARTS = st.one_of(PARTS, st.sampled_from([1.0 + 2.0**-52, 1.0 - 2.0**-53, -1.0 - 2.0**-52, -1.0 + 2.0**-53]))
+
+
+@st.composite
+def stencil_windows(draw):
+    width = draw(st.integers(min_value=1, max_value=6))
+    lo = draw(st.integers(min_value=-6, max_value=6))
+    reach = draw(st.integers(min_value=0, max_value=3))
+    entries = {}
+    for i in range(lo, lo + width):
+        for j in range(max(lo, i - reach), min(lo + width - 1, i + reach) + 1):
+            if draw(st.booleans()):
+                entries[(i, j)] = complex(draw(STENCIL_PARTS), draw(STENCIL_PARTS))
+    return InteractionWindow(lo=lo, hi=lo + width - 1, entries=entries)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(stencil_windows())
+def test_stencil_holds_every_row_bit_for_bit(win):
+    """``coeffs[t, reach + d]`` is ``hamiltonian_row(win, lo - 1 + t, 0.0)`` at site m + d, signed zeros included."""
+    coeffs = row_stencil(win).coeffs
+    reach = coeffs.shape[1] // 2
+    assert reach == max([1, *(abs(i - j) for i, j in win.entries)]) and len(coeffs) == win.hi - win.lo + 3
+    for t, m in enumerate(range(win.lo - 1, win.hi + 2)):
+        row = hamiltonian_row(win, m, 0.0)
+        assert all(abs(j - m) <= reach for j in row)
+        expected = np.array([row.get(m + d, 0j) for d in range(-reach, reach + 1)], dtype=complex)
+        assert coeffs[t].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 SAMPLE = st.one_of(
