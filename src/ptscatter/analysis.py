@@ -10,7 +10,6 @@ Singular grid points become error records instead of aborting the sweep.
 closed forms against both solvers where a closed form exists (separations
 1..3), solver against solver beyond that, plus the probability-sum defect;
 it also holds both solvers to the ultralocal closed form.
-``probability_defect`` is its defect check alone.
 ``transfer_matching_agreement`` does the same for randomly generated
 tridiagonal windows, where no closed form is available at all.
 
@@ -188,6 +187,7 @@ class UnitarityReport:
 
 def unitarity_report(table: SweepTable, tol: float = 1e-9) -> UnitarityReport:
     """Per-model defect statistics and the defect-vs-coupling sign pattern."""
+    _check_tol(tol)
     if not table.rows:
         raise ValueError("cannot summarize an empty table")
     per_model: dict[str, ModelDefectStats] = {}
@@ -243,13 +243,6 @@ def _worst(worst: float, delta: np.ndarray) -> float:
     return max(worst, float(np.hypot(delta.real, delta.imag).max(initial=0.0)))
 
 
-def _worst_defect(worst: float, amplitudes: np.ndarray) -> float:
-    """``worst`` or the largest |(|R|^2 + |T|^2) - 1| of the (R, T) row pairs, whichever is larger."""
-    moduli = np.hypot(amplitudes.real, amplitudes.imag)
-    pairs = zip(moduli[0::2].ravel().tolist(), moduli[1::2].ravel().tolist())
-    return max([worst, *(abs(r**2 + t**2 - 1.0) for r, t in pairs)])
-
-
 def _answers(
     route: Callable[[Iterable[Point]], Iterator[_Chunk]], points: Sequence[Point]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
@@ -277,49 +270,6 @@ def _solved(points: Sequence[Point]) -> tuple[np.ndarray, dict[int, SolverError]
     return np.array([m_r, m_t, t_r, t_t]), t_failures | m_failures
 
 
-def _delta_pair_grid(
-    m_max: int, x_values: Sequence[float] | None, phi_values: Sequence[PhiAngle] | None
-) -> tuple[list[ModelFamily], tuple[float, ...], tuple[PhiAngle, ...]]:
-    """The delta pairs of separations 1..m_max over the couplings, the couplings and the angles."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max!r}")
-    ModelFamily.pt_delta_pair(m_max, 0.0)  # a separation past the width cap raises before the grid is made
-    xs = tuple(x_values) if x_values is not None else default_coupling_grid()
-    phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
-    for name, values in (("x_values", xs), ("phi_values", phis)):
-        if not values:
-            raise ValueError(f"empty {name}")  # a check over no points would pass vacuously
-    return [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs], xs, phis
-
-
-def _solved_groups(
-    models: Sequence[ModelFamily], phis: Sequence[PhiAngle], singular: list[tuple[int, float]]
-) -> Iterator[tuple[Sequence[ModelFamily], np.ndarray, np.ndarray]]:
-    """Per group of models: the models, the mask of their solved points and their amplitudes.
-
-    The mask has shape (models, phis); the amplitudes, ``_solved``'s rows,
-    (4, models, phis).  Consecutive groups of _ORACLE_STACK // len(phis)
-    models (at least one) are each one stream into both routes.  A model
-    stops at its first failure: a SingularSystem appends its (separation,
-    coupling) to ``singular`` once, and any other error is raised, model by
-    model.
-    """
-    size = max(1, _ORACLE_STACK // len(phis))
-    for start in range(0, len(models), size):
-        group = models[start : start + size]
-        stack = [(win, phi) for win in [model.window() for model in group] for phi in phis]
-        amplitudes, failures = _solved(stack)
-        failed = np.zeros((len(group), len(phis)), dtype=bool)
-        failed.flat[list(failures)] = True
-        for g in failed.any(axis=1).nonzero()[0].tolist():
-            error = failures[g * len(phis) + int(failed[g].argmax())]
-            if not isinstance(error, SingularSystem):
-                raise error
-            if (group[g].m_sep, group[g].coupling) not in singular:
-                singular.append((group[g].m_sep, group[g].coupling))
-        yield group, np.logical_and.accumulate(~failed, axis=1), amplitudes.reshape(4, len(group), len(phis))
-
-
 def cross_validate(
     m_max: int,
     tol: float = 1e-9,
@@ -333,22 +283,49 @@ def cross_validate(
     probability-sum defect is checked everywhere.  The ultralocal block,
     over the same couplings and angles, adds its closed form against both
     solvers; it is not unitary, so it stays out of the defect and of
-    ``points_checked``.  Grid points where the solvers report a singular
-    system (|x| = 1 and the like) are recorded as (separation, coupling),
-    separation 0 for the ultralocal block, and excluded from pass/fail.
+    ``points_checked``.  Consecutive groups of _ORACLE_STACK // len(phis)
+    models (at least one) are each one stream into both routes.  A model
+    stops at its first failing angle: a SingularSystem (|x| = 1 and the
+    like) records its (separation, coupling) once, separation 0 for the
+    ultralocal block, and excludes its remaining angles from pass/fail; any
+    other error is raised, model by model.
     """
-    models, xs, phis = _delta_pair_grid(m_max, x_values, phi_values)
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max!r}")
+    ModelFamily.pt_delta_pair(m_max, 0.0)  # a separation past the width cap raises before the grid is made
+    xs = tuple(x_values) if x_values is not None else default_coupling_grid()
+    phis = tuple(phi_values) if phi_values is not None else default_phi_grid()
+    for name, values in (("x_values", xs), ("phi_values", phis)):
+        if not values:
+            raise ValueError(f"empty {name}")  # a check over no points would pass vacuously
     _check_tol(tol)
+    models = [ModelFamily.pt_delta_pair(m_sep, x) for m_sep in range(1, m_max + 1) for x in xs]
     models += [ModelFamily.ultralocal(a) for a in xs]
 
     worst_cm = worst_ct = worst_mt = worst_defect = 0.0
     singular: list[tuple[int, float]] = []
     points = 0
-    for group, solved, amplitudes in _solved_groups(models, phis, singular):
+    size = max(1, _ORACLE_STACK // len(phis))
+    for start in range(0, len(models), size):
+        group = models[start : start + size]
+        amplitudes, failures = _solved([(win, phi) for win in [model.window() for model in group] for phi in phis])
+        failed = np.zeros((len(group), len(phis)), dtype=bool)
+        failed.flat[list(failures)] = True
+        for g in failed.any(axis=1).nonzero()[0].tolist():
+            error = failures[g * len(phis) + int(failed[g].argmax())]
+            if not isinstance(error, SingularSystem):
+                raise error
+            if (group[g].m_sep, group[g].coupling) not in singular:
+                singular.append((group[g].m_sep, group[g].coupling))
+        solved = np.logical_and.accumulate(~failed, axis=1)  # (models, phis); amplitudes become (4, models, phis)
+        amplitudes = amplitudes.reshape(4, len(group), len(phis))
         pair = solved & np.array([model.kind == PT_PAIR for model in group])[:, None]
         points += int(np.count_nonzero(pair))
         worst_mt = _worst(worst_mt, amplitudes[:2, pair] - amplitudes[2:, pair])
-        worst_defect = _worst_defect(worst_defect, amplitudes[:, pair])
+        # |(|R|^2 + |T|^2) - 1| of each route's (R, T) rows, squared in Python floats.
+        moduli = np.hypot(amplitudes.real[:, pair], amplitudes.imag[:, pair])
+        pairs = zip(moduli[0::2].ravel().tolist(), moduli[1::2].ravel().tolist())
+        worst_defect = max([worst_defect, *(abs(r**2 + t**2 - 1.0) for r, t in pairs)])
         closed = solved & np.array([model.m_sep <= 3 for model in group])[:, None]
         cf = [closed_form_amplitudes(group[g], phis[k]) for g, k in np.argwhere(closed).tolist()]
         # The closed form's R and T minus those of matching, then of transfer.
@@ -367,20 +344,6 @@ def cross_validate(
         worst_abs_defect=worst_defect,
         singular_points=tuple(singular),
     )
-
-
-def probability_defect(m_max: int) -> float:
-    """Worst |(|R|^2 + |T|^2) - 1| of both solvers over the delta pairs of separations 1..m_max.
-
-    The ``worst_abs_defect`` of ``cross_validate(m_max)`` on the default
-    grids, without its closed forms and ultralocal points.  Singular grid
-    points are skipped as there.
-    """
-    models, _, phis = _delta_pair_grid(m_max, None, None)
-    worst = 0.0
-    for _, solved, amplitudes in _solved_groups(models, phis, []):
-        worst = _worst_defect(worst, amplitudes[:, solved])
-    return worst
 
 
 @dataclass(frozen=True)

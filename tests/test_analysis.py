@@ -30,7 +30,6 @@ from ptscatter.analysis import (
     SOLVER_CLOSED_FORM,
     SOLVER_MATCHING,
     SOLVER_TRANSFER,
-    probability_defect,
     random_tridiagonal_window,
 )
 from ptscatter.cli import format_table_csv
@@ -233,7 +232,7 @@ class TestCrossValidate:
         assert (1, 1.0) in result.singular_points
 
     def test_rejects_nonpositive_m_max(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
             cross_validate(0)
 
     def test_impossible_tolerance_fails(self):
@@ -323,13 +322,6 @@ class TestOracleGroups:
         got = cross_validate(2, tol=1e-9, x_values=(1.0, 0.3, -1.0), phi_values=phis)
         assert repr(got) == repr(per_model_cross_validation(2, 1e-9, (1.0, 0.3, -1.0), phis))
 
-    def test_probability_defect_is_the_cross_validation_defect(self):
-        assert probability_defect(3) == cross_validate(3).worst_abs_defect
-
-    def test_probability_defect_rejects_nonpositive_m_max(self):
-        with pytest.raises(ValueError, match="m_max must be >= 1"):
-            probability_defect(0)
-
 
 def test_answers_keep_at_most_one_chunk_of_psi():
     """``_answers`` lets each chunk's psi go before it reads the next, and numbers errors across chunks."""
@@ -379,7 +371,6 @@ def test_results_hold_builtin_types():
             expected = {"bool": bool, "int": int, "float": float}.get(field.type, tuple)
             assert type(getattr(result, field.name)) is expected, field.name
     assert [tuple(map(type, point)) for point in crossval.singular_points] == [(int, float)] * 3
-    assert type(probability_defect(1)) is float
     for row in run_sweep(pair_spec(couplings=(0.5, 1.0), solvers=(SOLVER_MATCHING, SOLVER_TRANSFER))).rows:
         assert (type(row.amplitudes.R), type(row.amplitudes.T), type(row.residual)) == (complex, complex, float)
 
@@ -406,9 +397,17 @@ class TestToleranceGates:
         with pytest.raises(ValueError, match="tol must be finite and non-negative"):
             transfer_matching_agreement(n_windows=5, tol=tol)
 
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_unitarity_report_rejects(self, tol):
+        table = run_sweep(ultralocal_spec((0.5,), default_phi_grid(5)))
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            unitarity_report(table, tol=tol)
+
     def test_zero_tolerance_is_a_gate(self):
         assert not cross_validate(1, tol=0.0, x_values=(0.5,), phi_values=default_phi_grid(3)).passed
         assert transfer_matching_agreement(n_windows=2, angles_per_window=2, tol=0.0).tol == 0.0
+        report = unitarity_report(run_sweep(ultralocal_spec((0.5,), default_phi_grid(5))), tol=0.0)
+        assert report.total_violations == 5 and report.per_model["ultralocal"].defect_sign_opposes_coupling is True
 
 
 @pytest.mark.parametrize(

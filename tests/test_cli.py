@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ptscatter import analysis, cli
-from ptscatter.analysis import OracleAgreement
+from ptscatter.analysis import OracleAgreement, cross_validate
 from ptscatter.cli import CSV_HEADER, load_window_file, main, parse_int_list, parse_range
 from ptscatter.core import MAX_WINDOW_SITES
 
@@ -412,24 +412,9 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "oracles"]) == 0
         assert "matching vs transfer" in capsys.readouterr().out
 
-    def test_unitarity_suite_solves_only_the_delta_pairs(self, monkeypatch, capsys):
-        """The defect line needs no closed form and no ultralocal point."""
-        closed_forms, windows = [], []
-        monkeypatch.setattr(analysis, "closed_form_amplitudes", lambda *args: closed_forms.append(args))
-        for name in ("_matching_answers", "_transfer_answers"):
-            stack = getattr(analysis, name)
-
-            def recording(points, stack=stack):
-                points = list(points)
-                windows.extend(win for win, _ in points)
-                return stack(points)
-
-            monkeypatch.setattr(analysis, name, recording)
-        assert main(["verify", "--suite", "unitarity", "--M-max", "4"]) == 0
-        assert "probability-sum defect" in capsys.readouterr().out
-        assert closed_forms == []
-        assert len(windows) == 2 * 4 * 19 * 50
-        assert all(win.lo == -win.hi for win in windows)  # delta pairs span [-M, M]; the ultralocal block [0, 1]
+    def test_unitarity_line_is_the_cross_validation_defect(self, capsys):
+        assert main(["verify", "--suite", "unitarity", "--M-max", "3"]) == 0
+        assert f"worst {cross_validate(3).worst_abs_defect:.3e}  tol" in capsys.readouterr().out
 
     @pytest.fixture
     def counted_verify(self, monkeypatch):
@@ -451,8 +436,18 @@ class TestVerifyCommand:
 
     def test_all_suite_runs_one_cross_validation(self, counted_verify, capsys):
         assert main(["verify", "--suite", "all", "--M-max", "4"]) == 0
-        assert len(counted_verify) == 1
+        assert counted_verify == [(4,)]
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "suite, m_max, calls",
+        [("closed-forms", 4, [(3,)]), ("closed-forms", 2, [(2,)]), ("unitarity", 4, [(4,)]), ("oracles", 4, [])],
+    )
+    def test_single_suites_run_at_most_one_cross_validation(self, counted_verify, capsys, suite, m_max, calls):
+        """Closed forms stop at separation 3; the defect line reads the pass through --M-max."""
+        assert main(["verify", "--suite", suite, "--M-max", str(m_max)]) == 0
+        assert counted_verify == calls
+        assert len(capsys.readouterr().out.splitlines()) == 1
 
     def test_all_suite_lines_match_single_suites(self, counted_verify, capsys):
         assert main(["verify", "--suite", "all", "--M-max", "4"]) == 0
@@ -516,6 +511,34 @@ def test_non_finite_coupling_exits_one_without_warnings(command, coupling, capsy
     err = capsys.readouterr().err
     assert "finite" in err and "RuntimeWarning" not in err
     assert not caught
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["sweep", "--model", "pt-pair", "--M-list", "1", "--x", "0.5", "--x-range", "0.2:0.2:1", "--phi-range", "1:1:1"],
+         "--x"),
+        (["sweep", "--model", "pt-pair", "--M", "3", "--M-list", "1", "--x-range", "0.2:0.2:1", "--phi-range", "1:1:1"],
+         "--M"),
+        (["sweep", "--model", "custom", "--window", "WINDOW", "--M", "4", "--a", "0.3", "--phi-range", "1:1:1"],
+         "--M, --a"),
+        (["sweep", "--model", "ultralocal", "--a-range", "0:0:1", "--x-range", "0:0:1", "--phi-range", "1:1:1"],
+         "--x-range"),
+        (["solve", "--model", "ultralocal", "--a", "0.3", "--M", "2", "--x", "0.9", "--phi", "1"], "--M, --x"),
+        (["check-pt", "--model", "pt-pair", "--M", "1", "--x", "0.3", "--window", "/nonexistent"], "--window"),
+    ],
+)
+def test_model_flags_the_command_does_not_read_exit_one(argv, unread, window_file, capsys):
+    argv = [window_file if arg == "WINDOW" else arg for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ptscatter: error: {argv[0]} --model {argv[2]} does not read {unread}\n"
+
+
+def test_pt_pair_sweep_reads_m_without_m_list(capsys):
+    assert main(["sweep", "--model", "pt-pair", "--M", "2", "--x-range", "0.5:0.5:1", "--phi-range", "1:1:1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("pt-pair,2,0.5,")
 
 
 class TestExitCodeContract:
